@@ -363,8 +363,8 @@ struct GridBuilder
         auto [it, inserted] =
             index.try_emplace(key, grid.points.size());
         // Route every point through the assembly cache so the static
-        // bounds pass, the sweep, and any batch share one build per
-        // (benchmark, threads, scale).
+        // bounds pass and the sweep share one build per (benchmark,
+        // threads, scale).
         if (inserted) {
             grid.points.push_back(
                 {&cachedWorkload(workload), config, {}});

@@ -68,8 +68,7 @@ void exportCsv(const Table &table, const std::string &suffix = "");
  * and returns copies of the cached image afterwards. Workload
  * generators are deterministic const objects, so the copy is
  * bit-identical to a fresh build. The returned reference is stable for
- * the life of the process (grid points batched by workload identity
- * compare these pointers), and the cache is thread-safe, so sweep
+ * the life of the process, and the cache is thread-safe, so sweep
  * workers that hit the same benchmark concurrently assemble it once.
  */
 const Workload &cachedWorkload(const Workload &workload);

@@ -22,21 +22,18 @@
  * Exit status is non-zero if any run fails to finish or verify, so
  * CI can gate on this binary alone.
  *
- *     sdsp_bench_all [--jobs N] [--batch N] [--scale PCT]
- *                    [--out FILE] [--only SUBSTR] [--list]
- *                    [--timeout SECS] [--max-cycles N] [--retries N]
- *                    [--resume PATH] [--checkpoint PATH]
- *                    [--no-checkpoint]
+ *     sdsp_bench_all [--jobs N] [--scale PCT] [--out FILE]
+ *                    [--only SUBSTR] [--list] [--timeout SECS]
+ *                    [--max-cycles N] [--retries N] [--resume PATH]
+ *                    [--checkpoint PATH] [--no-checkpoint]
  *
- * --jobs defaults to SDSP_BENCH_JOBS / hardware_concurrency, --batch
- * (grid points per batched execution unit, see harness/batch.hh) to
- * SDSP_BENCH_BATCH / 0 = off, --scale to SDSP_BENCH_SCALE / 100;
- * --timeout/--max-cycles/--retries default to SDSP_BENCH_TIMEOUT /
- * SDSP_BENCH_MAX_CYCLES / SDSP_BENCH_RETRIES (fault injection:
- * SDSP_BENCH_FAULT, see fault.hh). The output goes to --out, else to
- * $SDSP_BENCH_JSON/bench_results.json, else ./bench_results.json;
- * the checkpoint defaults to <out>.checkpoint.jsonl and is removed
- * after a fully verified sweep.
+ * --jobs defaults to SDSP_BENCH_JOBS / hardware_concurrency, --scale
+ * to SDSP_BENCH_SCALE / 100; --timeout/--max-cycles/--retries default
+ * to SDSP_BENCH_TIMEOUT / SDSP_BENCH_MAX_CYCLES / SDSP_BENCH_RETRIES
+ * (fault injection: SDSP_BENCH_FAULT, see fault.hh). The output goes
+ * to --out, else to $SDSP_BENCH_JSON/bench_results.json, else
+ * ./bench_results.json; the checkpoint defaults to
+ * <out>.checkpoint.jsonl and is removed after a fully verified sweep.
  */
 
 #include <cstdio>
@@ -126,7 +123,7 @@ int
 usage(const char *argv0, int code)
 {
     std::printf(
-        "usage: %s [--jobs N] [--batch N] [--scale PCT] [--out FILE]\n"
+        "usage: %s [--jobs N] [--scale PCT] [--out FILE]\n"
         "       [--only SUBSTR] [--list] [--timeout SECS]\n"
         "       [--max-cycles N] [--retries N] [--resume PATH]\n"
         "       [--checkpoint PATH] [--no-checkpoint]\n",
@@ -169,11 +166,6 @@ main(int argc, char **argv)
             if (value > 256)
                 fatal("--jobs out of range: %ld", value);
             jobs = static_cast<unsigned>(value);
-        } else if (arg == "--batch" || arg == "-b") {
-            long value = intArg("--batch", 0);
-            if (value > 256)
-                fatal("--batch out of range: %ld", value);
-            options.batchSize = static_cast<unsigned>(value);
         } else if (arg == "--scale") {
             long value = intArg("--scale", 1);
             if (value > 1000)
@@ -316,11 +308,8 @@ main(int argc, char **argv)
         runner.add(job);
 
     std::printf("sdsp_bench_all: %zu grid points (%zu before "
-                "deduplication), scale %u%%, %u jobs",
+                "deduplication), scale %u%%, %u jobs\n",
                 points.size(), suite.submitted, scale, runner.jobs());
-    if (options.batchSize >= 2)
-        std::printf(", batch %u", options.batchSize);
-    std::printf("\n");
     if (!resume_path.empty()) {
         std::printf("resuming from %s: %zu points restored, "
                     "%zu to run\n",

@@ -41,7 +41,8 @@ main()
     cfg.numThreads = 2;
 
     Processor cpu(cfg, prog);
-    cpu.setTrace(&std::cout);
+    TextTraceSink trace(std::cout);
+    cpu.setTraceSink(&trace);
     std::printf("--- per-cycle pipeline events ---\n");
     SimResult sim = cpu.run();
     std::printf("--- end of trace ---\n\n");

@@ -19,8 +19,8 @@
  *
  * Cost model: the processor holds a `TraceSink *` that is nullptr when
  * tracing is off, so the disabled hot path pays one pointer test per
- * event site and performs no allocation — test_allocfree and the
- * simspeed gate enforce this.
+ * event site and performs no allocation — test_allocfree enforces
+ * this, and perfbench's `grid` workload measures the loop's speed.
  */
 
 #ifndef SDSP_COMMON_TRACE_HH

@@ -1,5 +1,7 @@
 #include "core/processor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "isa/semantics.hh"
 
@@ -128,19 +130,6 @@ Processor::Processor(const MachineConfig &config,
 }
 
 Processor::~Processor() = default;
-
-void
-Processor::setTrace(std::ostream *out)
-{
-    if (!out) {
-        if (sink == ownedTextSink.get())
-            sink = nullptr;
-        ownedTextSink.reset();
-        return;
-    }
-    ownedTextSink = std::make_unique<TextTraceSink>(*out);
-    sink = ownedTextSink.get();
-}
 
 // --------------------------------------------------------------------
 // Commit
@@ -817,15 +806,27 @@ Processor::done() const
 }
 
 SimResult
-Processor::run()
+Processor::run(std::optional<Deadline> deadline)
 {
-    while (!done() && now < cfg.maxCycles)
-        step();
+    // Without a deadline the first slice runs to the cycle cap.
+    const Cycle slice = deadline ? kDeadlineCheckCycles : cfg.maxCycles;
+    bool timed_out = false;
+    while (!done() && now < cfg.maxCycles) {
+        Cycle slice_end = now + std::min(slice, cfg.maxCycles - now);
+        while (!done() && now < slice_end)
+            step();
+        if (deadline && !done() &&
+            std::chrono::steady_clock::now() >= *deadline) {
+            timed_out = true;
+            break;
+        }
+    }
 
     finishTrace();
 
     SimResult result;
     result.finished = done();
+    result.timedOut = timed_out;
     result.cycles = now;
     result.committedInstructions = statCommitted;
     return result;

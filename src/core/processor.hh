@@ -25,9 +25,9 @@
 #define SDSP_CORE_PROCESSOR_HH
 
 #include <array>
+#include <chrono>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <vector>
 
 #include "branch/predictor_bank.hh"
@@ -125,6 +125,9 @@ struct SimResult
 {
     /** All threads ran to HALT within the cycle budget. */
     bool finished = false;
+    /** The wall-clock deadline given to Processor::run() stopped the
+     *  run before it finished. */
+    bool timedOut = false;
     Cycle cycles = 0;
     std::uint64_t committedInstructions = 0;
     double
@@ -150,9 +153,9 @@ class Processor
     /**
      * Build a processor over an already-decoded program, sharing the
      * immutable text and decoded-instruction table with any number of
-     * other processors (the batched execution engine decodes each
-     * program once and runs every machine variant against it). Same
-     * register-partition check as the Program overload.
+     * other processors (a caller that runs many machine variants of
+     * one program decodes it once). Same register-partition check as
+     * the Program overload.
      */
     Processor(const MachineConfig &config,
               std::shared_ptr<const DecodedProgram> program);
@@ -162,20 +165,22 @@ class Processor
     Processor(const Processor &) = delete;
     Processor &operator=(const Processor &) = delete;
 
+    /** Host instant after which run() stops stepping. */
+    using Deadline = std::chrono::steady_clock::time_point;
+
     /** Advance one cycle. */
     void step();
 
-    /** Run to completion (all threads halted, pipeline drained).
-     *  @return The aggregate result; finished=false on cycle-cap. */
-    SimResult run();
-
     /**
-     * Close out any stall spans still open on the trace sink. run()
-     * calls this itself; callers that drive the simulation through
-     * step() (e.g. the harness's deadline watchdog) must call it once
-     * when they stop stepping, before reading the trace.
+     * Run to completion (all threads halted, pipeline drained), to
+     * the configured cycle cap, or until the wall clock passes
+     * @p deadline, whichever comes first. The clock is read once
+     * every kDeadlineCheckCycles cycles, and never without a
+     * deadline. Closes any stall span still open on the trace sink.
+     * @return The aggregate result: finished=false on the cycle cap
+     *         or the deadline, timedOut=true on the deadline.
      */
-    void finishTrace();
+    SimResult run(std::optional<Deadline> deadline = std::nullopt);
 
     /** All threads halted and the machine fully drained? */
     bool done() const;
@@ -256,11 +261,6 @@ class Processor
         replayAddrs = source;
     }
 
-    /** Attach the classic text trace (nullptr disables): wraps
-     *  @p out in an owned TextTraceSink, preserving the historical
-     *  `--trace` line format byte-for-byte. */
-    void setTrace(std::ostream *out);
-
     /** Cycles of @p tid charged to @p reason. For every thread the
      *  kNumStallReasons charges sum to cycle() — each cycle is
      *  attributed to exactly one reason. */
@@ -278,6 +278,15 @@ class Processor
     }
 
   private:
+    /** Cycles run() steps between two reads of the wall clock: a
+     *  read every few thousand cycles costs under 0.1% and bounds the
+     *  overshoot past a deadline to well under a millisecond. */
+    static constexpr Cycle kDeadlineCheckCycles = 4096;
+
+    /** Emit the stall spans still open on the trace sink; run()
+     *  calls it once when it stops stepping. */
+    void finishTrace();
+
     void commitStage();
     void writebackStage();
     void issueStage();
@@ -313,7 +322,7 @@ class Processor
 
     MachineConfig cfg;
     /** The program and its decoded text, possibly shared with other
-     *  processors (batched execution). Immutable for the run. */
+     *  processors. Immutable for the run. */
     std::shared_ptr<const DecodedProgram> prog;
 
     MainMemory mem;
@@ -341,8 +350,6 @@ class Processor
     TraceSink *sink = nullptr;
     /** Per-PC address overrides; nullptr = computed addressing. */
     const ReplayAddressSource *replayAddrs = nullptr;
-    /** Owned wrapper backing setTrace(std::ostream *). */
-    std::unique_ptr<TextTraceSink> ownedTextSink;
 
     // ---- Statistics ----
     std::uint64_t statCommitted = 0;

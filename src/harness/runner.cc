@@ -1,8 +1,8 @@
 #include "harness/runner.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.hh"
 
@@ -12,23 +12,17 @@ namespace sdsp
 namespace
 {
 
-/**
- * Shared body of runWorkload/runWorkloadLimited. @p limits may be
- * null (no watchdogs: the plain Processor::run path).
- */
-RunResult
-runWorkloadImpl(const Workload &workload, const MachineConfig &config,
-                unsigned scale, const RunLimits *limits,
-                bool *timed_out, std::string *timeout_reason,
-                TraceSink *sink = nullptr)
+/** Shared body of runWorkload/runWorkloadLimited. */
+LimitedRunResult
+runLimited(const Workload &workload, const MachineConfig &config,
+           unsigned scale, const RunLimits &limits, TraceSink *sink)
 {
     auto start = std::chrono::steady_clock::now();
 
     MachineConfig effective = config;
     bool cycle_budgeted = false;
-    if (limits && limits->maxCycles &&
-        limits->maxCycles < config.maxCycles) {
-        effective.maxCycles = limits->maxCycles;
+    if (limits.maxCycles && limits.maxCycles < config.maxCycles) {
+        effective.maxCycles = limits.maxCycles;
         cycle_budgeted = true;
     }
 
@@ -37,23 +31,19 @@ runWorkloadImpl(const Workload &workload, const MachineConfig &config,
     Processor cpu(effective, image.program);
     if (sink)
         cpu.setTraceSink(sink);
-    auto sim_start = std::chrono::steady_clock::now();
-    SimResult sim;
-    bool wall_timed_out = false;
-    if (limits && limits->timeoutSeconds > 0.0) {
-        auto deadline =
-            start + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(
-                            limits->timeoutSeconds));
-        sim = runToDeadline(cpu, effective.maxCycles, deadline,
-                            &wall_timed_out);
-    } else {
-        sim = cpu.run();
+    std::optional<Processor::Deadline> deadline;
+    if (limits.timeoutSeconds > 0.0) {
+        deadline = start + std::chrono::duration_cast<
+                               std::chrono::steady_clock::duration>(
+                               std::chrono::duration<double>(
+                                   limits.timeoutSeconds));
     }
+    auto sim_start = std::chrono::steady_clock::now();
+    SimResult sim = cpu.run(deadline);
     auto sim_end = std::chrono::steady_clock::now();
 
-    RunResult result;
+    LimitedRunResult limited;
+    RunResult &result = limited.result;
     result.benchmark = image.name;
     result.config = config;
     result.finished = sim.finished;
@@ -79,26 +69,23 @@ runWorkloadImpl(const Workload &workload, const MachineConfig &config,
         result.verifyMessage = verdict.message;
     } else {
         result.verified = false;
-        if (wall_timed_out) {
+        bool over_budget =
+            cycle_budgeted && sim.cycles >= effective.maxCycles;
+        if (sim.timedOut) {
             result.verifyMessage = format(
                 "wall-clock budget (%.3f s) exceeded at cycle %llu",
-                limits->timeoutSeconds,
+                limits.timeoutSeconds,
                 static_cast<unsigned long long>(sim.cycles));
-        } else if (cycle_budgeted &&
-                   sim.cycles >= effective.maxCycles) {
+        } else if (over_budget) {
             result.verifyMessage = format(
                 "simulated-cycle budget (%llu cycles) exceeded",
                 static_cast<unsigned long long>(effective.maxCycles));
         } else {
             result.verifyMessage = "simulation hit the cycle cap";
         }
-        if (timed_out) {
-            *timed_out =
-                wall_timed_out ||
-                (cycle_budgeted && sim.cycles >= effective.maxCycles);
-            if (*timed_out && timeout_reason)
-                *timeout_reason = result.verifyMessage;
-        }
+        limited.timedOut = sim.timedOut || over_budget;
+        if (limited.timedOut)
+            limited.timeoutReason = result.verifyMessage;
     }
     result.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -112,7 +99,7 @@ runWorkloadImpl(const Workload &workload, const MachineConfig &config,
         result.simInstsPerSecond =
             static_cast<double>(result.committed) / result.simSeconds;
     }
-    return result;
+    return limited;
 }
 
 } // namespace
@@ -121,8 +108,7 @@ RunResult
 runWorkload(const Workload &workload, const MachineConfig &config,
             unsigned scale, TraceSink *sink)
 {
-    return runWorkloadImpl(workload, config, scale, nullptr, nullptr,
-                           nullptr, sink);
+    return runLimited(workload, config, scale, RunLimits{}, sink).result;
 }
 
 LimitedRunResult
@@ -130,46 +116,7 @@ runWorkloadLimited(const Workload &workload,
                    const MachineConfig &config, unsigned scale,
                    const RunLimits &limits)
 {
-    LimitedRunResult limited;
-    limited.result =
-        runWorkloadImpl(workload, config, scale, &limits,
-                        &limited.timedOut, &limited.timeoutReason);
-    return limited;
-}
-
-SimResult
-runToDeadline(Processor &cpu, std::uint64_t cycle_cap,
-              std::chrono::steady_clock::time_point deadline,
-              bool *timed_out)
-{
-    // Check the clock once per slice, not per cycle: a clock read
-    // every few thousand simulated cycles is noise (< 0.1 %) while
-    // still bounding overshoot to well under a millisecond.
-    constexpr std::uint64_t kSliceCycles = 4096;
-
-    bool hit_deadline = false;
-    while (!cpu.done() && cpu.cycle() < cycle_cap) {
-        std::uint64_t slice_end =
-            std::min<std::uint64_t>(cycle_cap,
-                                    cpu.cycle() + kSliceCycles);
-        while (!cpu.done() && cpu.cycle() < slice_end)
-            cpu.step();
-        if (!cpu.done() &&
-            std::chrono::steady_clock::now() >= deadline) {
-            hit_deadline = true;
-            break;
-        }
-    }
-    cpu.finishTrace();
-
-    if (timed_out)
-        *timed_out = hit_deadline && !cpu.done();
-
-    SimResult sim;
-    sim.finished = cpu.done();
-    sim.cycles = cpu.cycle();
-    sim.committedInstructions = cpu.committedInstructions();
-    return sim;
+    return runLimited(workload, config, scale, limits, nullptr);
 }
 
 double

@@ -9,7 +9,6 @@
 #ifndef SDSP_HARNESS_RUNNER_HH
 #define SDSP_HARNESS_RUNNER_HH
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -94,23 +93,12 @@ struct LimitedRunResult
 
 /**
  * runWorkload() under @p limits. With all limits zero this is
- * byte-identical to runWorkload() (same stepping path, no per-slice
- * clock reads).
+ * runWorkload() (no clock reads inside the cycle loop).
  */
 LimitedRunResult runWorkloadLimited(const Workload &workload,
                                     const MachineConfig &config,
                                     unsigned scale,
                                     const RunLimits &limits);
-
-/**
- * Step @p cpu until it is done, reaches @p cycle_cap, or the wall
- * clock passes @p deadline (checked every few thousand cycles).
- * Flushes open trace spans like Processor::run(). Sets @p timed_out
- * iff the deadline stopped the run.
- */
-SimResult runToDeadline(Processor &cpu, std::uint64_t cycle_cap,
-                        std::chrono::steady_clock::time_point deadline,
-                        bool *timed_out);
 
 /**
  * The paper's speedup formula (section 5.2):

@@ -6,15 +6,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <system_error>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "common/logging.hh"
-#include "harness/batch.hh"
 
 namespace sdsp
 {
@@ -78,8 +75,6 @@ SweepOptions::fromEnvironment()
     options.retryBackoffSeconds =
         envSeconds("SDSP_BENCH_RETRY_BACKOFF", 0.05);
     options.faults = FaultPlan::fromEnvironment();
-    options.batchSize =
-        static_cast<unsigned>(envUint64("SDSP_BENCH_BATCH", 0, 256));
     return options;
 }
 
@@ -141,7 +136,6 @@ SweepRunner::executeJob(const SweepJob &job) const
             LimitedRunResult run = runWorkloadLimited(
                 *job.workload, job.config, job.scale, limits);
             outcome.result = std::move(run.result);
-            outcome.exception = nullptr;
             if (run.timedOut) {
                 outcome.status = JobStatus::TimedOut;
                 outcome.error = run.timeoutReason;
@@ -160,11 +154,9 @@ SweepRunner::executeJob(const SweepJob &job) const
         } catch (const std::exception &err) {
             outcome.status = JobStatus::Failed;
             outcome.error = err.what();
-            outcome.exception = std::current_exception();
         } catch (...) {
             outcome.status = JobStatus::Failed;
             outcome.error = "unknown exception";
-            outcome.exception = std::current_exception();
         }
         if (attempt >= options_.retries) {
             // The run never produced measurements; keep at least the
@@ -182,98 +174,6 @@ SweepRunner::executeJob(const SweepJob &job) const
     }
 }
 
-std::vector<std::vector<std::size_t>>
-SweepRunner::planUnits(const std::vector<SweepJob> &grid) const
-{
-    std::vector<std::vector<std::size_t>> units;
-    units.reserve(grid.size());
-    if (options_.batchSize < 2) {
-        for (std::size_t i = 0; i < grid.size(); ++i)
-            units.push_back({i});
-        return units;
-    }
-
-    // Batchable jobs group by the identity the shared image depends
-    // on. Skipped jobs and jobs the fault plan targets on their first
-    // attempt run per-point, so checkpoint-resume and deterministic
-    // fault injection behave exactly as without batching.
-    using GroupKey = std::tuple<const Workload *, unsigned, unsigned>;
-    std::map<GroupKey, std::vector<std::size_t>> groups;
-    std::vector<GroupKey> order;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        const SweepJob &job = grid[i];
-        if (job.skip ||
-            options_.faults.matches(
-                job.workload->name() + "/" + job.label, 0)) {
-            units.push_back({i});
-            continue;
-        }
-        GroupKey key{job.workload, job.scale, job.config.numThreads};
-        auto [it, inserted] = groups.try_emplace(key);
-        if (inserted)
-            order.push_back(key);
-        it->second.push_back(i);
-    }
-    for (const GroupKey &key : order) {
-        const std::vector<std::size_t> &members = groups[key];
-        for (std::size_t at = 0; at < members.size();
-             at += options_.batchSize) {
-            std::size_t end = std::min<std::size_t>(
-                at + options_.batchSize, members.size());
-            units.emplace_back(members.begin() +
-                                   static_cast<std::ptrdiff_t>(at),
-                               members.begin() +
-                                   static_cast<std::ptrdiff_t>(end));
-        }
-    }
-    return units;
-}
-
-void
-SweepRunner::executeBatchUnit(const std::vector<SweepJob> &grid,
-                              const std::vector<std::size_t> &unit,
-                              std::vector<JobOutcome> &outcomes) const
-{
-    const SweepJob &first = grid[unit.front()];
-    RunLimits limits;
-    limits.timeoutSeconds = options_.timeoutSeconds;
-    limits.maxCycles = options_.maxCycles;
-
-    try {
-        std::vector<MachineConfig> configs;
-        configs.reserve(unit.size());
-        for (std::size_t i : unit)
-            configs.push_back(grid[i].config);
-        BatchRunner batch(*first.workload, std::move(configs),
-                          first.scale, limits);
-        std::vector<LimitedRunResult> results = batch.run();
-        for (std::size_t k = 0; k < unit.size(); ++k) {
-            JobOutcome &outcome = outcomes[unit[k]];
-            LimitedRunResult &run = results[k];
-            outcome.attempts = 1;
-            outcome.exception = nullptr;
-            outcome.result = std::move(run.result);
-            if (run.timedOut) {
-                outcome.status = JobStatus::TimedOut;
-                outcome.error = run.timeoutReason;
-            } else if (outcome.result.finished &&
-                       outcome.result.verified) {
-                outcome.status = JobStatus::Ok;
-                outcome.error.clear();
-            } else {
-                outcome.status = JobStatus::Failed;
-                outcome.error = outcome.result.verifyMessage;
-            }
-        }
-    } catch (...) {
-        // A failure in the shared setup (or any lane) poisons the
-        // whole batch; re-run its members per-point so one bad lane
-        // cannot fail its neighbours and the retry machinery applies.
-        for (std::size_t i : unit)
-            outcomes[i] = executeJob(grid[i]);
-    }
-}
-
 std::vector<JobOutcome>
 SweepRunner::runAll(const JobCallback &completed)
 {
@@ -282,37 +182,26 @@ SweepRunner::runAll(const JobCallback &completed)
 
     std::vector<JobOutcome> outcomes(grid.size());
 
-    // Execution units: single jobs, or batches of jobs sharing one
-    // built + decoded program (SweepOptions::batchSize).
-    std::vector<std::vector<std::size_t>> units = planUnits(grid);
-
     // Self-scheduling work queue: workers claim the next unclaimed
-    // unit. Outcomes land at each job's submission index, so the
+    // job. Outcomes land at each job's submission index, so the
     // output order never depends on the schedule.
     std::atomic<std::size_t> next{0};
     std::mutex callback_mutex;
     auto worker = [&]() {
         for (;;) {
-            std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
-            if (u >= units.size())
+            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= grid.size())
                 return;
-            const std::vector<std::size_t> &unit = units[u];
-            if (unit.size() == 1) {
-                std::size_t i = unit.front();
-                outcomes[i] = executeJob(grid[i]);
-            } else {
-                executeBatchUnit(grid, unit, outcomes);
-            }
+            outcomes[i] = executeJob(grid[i]);
             if (completed) {
                 std::lock_guard<std::mutex> hold(callback_mutex);
-                for (std::size_t i : unit)
-                    completed(i, outcomes[i]);
+                completed(i, outcomes[i]);
             }
         }
     };
 
     std::size_t workers =
-        std::min<std::size_t>(jobs_, units.size() ? units.size() : 1);
+        std::min<std::size_t>(jobs_, grid.size() ? grid.size() : 1);
     if (workers <= 1) {
         // Serial fallback: same loop, calling thread, no pool.
         worker();
@@ -324,30 +213,6 @@ SweepRunner::runAll(const JobCallback &completed)
         // jthread joins on destruction.
     }
     return outcomes;
-}
-
-std::vector<RunResult>
-SweepRunner::run()
-{
-    std::vector<JobOutcome> outcomes = runAll();
-    for (JobOutcome &outcome : outcomes) {
-        if (outcome.exception)
-            std::rethrow_exception(outcome.exception);
-    }
-    std::vector<RunResult> results;
-    results.reserve(outcomes.size());
-    for (JobOutcome &outcome : outcomes)
-        results.push_back(std::move(outcome.result));
-    return results;
-}
-
-std::vector<RunResult>
-runSweep(std::vector<SweepJob> grid, unsigned jobs)
-{
-    SweepRunner runner(jobs);
-    for (SweepJob &job : grid)
-        runner.add(std::move(job));
-    return runner.run();
 }
 
 } // namespace sdsp

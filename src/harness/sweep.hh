@@ -9,7 +9,7 @@
  * randomness is instance-seeded), so the points can run concurrently
  * and the results are bit-identical to a serial sweep.
  *
- * SweepRunner is a batch executor: queue grid points with add(), then
+ * SweepRunner is a job queue: queue grid points with add(), then
  * runAll() executes them on a fixed pool of worker threads and
  * returns one JobOutcome per point, in submission order. The engine
  * is fault tolerant: a grid point that throws, exceeds its wall-clock
@@ -31,7 +31,6 @@
 #define SDSP_HARNESS_SWEEP_HH
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -87,23 +86,12 @@ struct SweepOptions
     double retryBackoffSeconds = 0.05;
     /** Deterministic fault injection (testing; see fault.hh). */
     FaultPlan faults;
-    /**
-     * Group jobs that share (workload, scale, thread count) into
-     * batches of up to this many configurations and run each batch in
-     * one pass over one shared built + decoded program (see
-     * harness/batch.hh). 0 or 1 disables batching. Results are
-     * bit-identical either way; jobs the fault plan targets, skipped
-     * jobs, and singleton groups run per-point as before, and a batch
-     * that throws falls back to per-point execution (retries and all).
-     */
-    unsigned batchSize = 0;
 
     /**
      * Defaults from the environment: SDSP_BENCH_TIMEOUT (seconds),
      * SDSP_BENCH_MAX_CYCLES, SDSP_BENCH_RETRIES,
-     * SDSP_BENCH_RETRY_BACKOFF (seconds), SDSP_BENCH_FAULT,
-     * SDSP_BENCH_BATCH (batch size, 0..256). Fatal on unparseable
-     * values.
+     * SDSP_BENCH_RETRY_BACKOFF (seconds), SDSP_BENCH_FAULT. Fatal on
+     * unparseable values.
      */
     static SweepOptions fromEnvironment();
 };
@@ -122,14 +110,12 @@ struct JobOutcome
     std::string error;
     /** Attempts consumed (1 = first try; 0 = skipped). */
     unsigned attempts = 0;
-    /** The last thrown error, kept for legacy rethrow paths. */
-    std::exception_ptr exception;
 
     bool ok() const { return status == JobStatus::Ok; }
 };
 
 /**
- * Executes a batch of independent grid points on a fixed thread pool.
+ * Executes queued independent grid points on a fixed thread pool.
  *
  * Outcomes are returned in submission order regardless of completion
  * order, and every queued point runs (or is skipped) no matter what
@@ -184,38 +170,13 @@ class SweepRunner
      */
     std::vector<JobOutcome> runAll(const JobCallback &completed = {});
 
-    /**
-     * Legacy strict interface: runAll(), then rethrow the exception
-     * of the lowest-indexed job that threw (if any) and unwrap the
-     * results. Timeouts surface as unfinished results.
-     */
-    std::vector<RunResult> run();
-
   private:
     JobOutcome executeJob(const SweepJob &job) const;
-
-    /**
-     * Partition job indices into execution units: each unit is either
-     * one job (run via executeJob) or a batchable group of 2+ jobs
-     * sharing (workload, scale, threads), run via executeBatchUnit.
-     */
-    std::vector<std::vector<std::size_t>>
-    planUnits(const std::vector<SweepJob> &grid) const;
-
-    /** Run one batchable unit; fills outcomes at the unit's indices.
-     *  Falls back to per-point executeJob if the batch throws. */
-    void executeBatchUnit(const std::vector<SweepJob> &grid,
-                          const std::vector<std::size_t> &unit,
-                          std::vector<JobOutcome> &outcomes) const;
 
     unsigned jobs_;
     SweepOptions options_;
     std::vector<SweepJob> queue_;
 };
-
-/** One-shot convenience: run @p grid on @p jobs workers. */
-std::vector<RunResult> runSweep(std::vector<SweepJob> grid,
-                                unsigned jobs = 0);
 
 } // namespace sdsp
 

@@ -4,11 +4,11 @@
  * processors.
  *
  * Every Processor needs the program's words decoded into Instruction
- * records before fetch can read them. When many machine variants run
- * the same program (the batched execution engine, harness/batch.hh),
- * decoding each word once and letting every processor reference the
- * same immutable table removes the per-processor decode pass and the
- * per-processor copy of the text.
+ * records before fetch can read them. The Program constructor of
+ * Processor decodes its own copy; a caller that runs many machine
+ * variants of one program can instead decode it once and hand every
+ * processor the same immutable table, which removes the
+ * per-processor decode pass and the per-processor copy of the text.
  *
  * A DecodedProgram is immutable after decode(): processors hold it by
  * shared_ptr<const>, so its lifetime outlives any of them and the
@@ -39,9 +39,8 @@ struct DecodedProgram
 
     /**
      * Fatal unless every register the program names fits the
-     * per-thread partition [0, budget). Same check (and message) the
-     * Processor constructor historically performed; hoisted here so a
-     * batch pays it once per shared program instead of per config.
+     * per-thread partition [0, budget). The Processor constructor
+     * runs it for its configuration's thread count.
      */
     void checkRegisterPartition(unsigned num_threads,
                                 unsigned budget) const;

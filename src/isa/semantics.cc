@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -35,8 +36,44 @@ uimm(const Instruction &inst)
            0x3ffu;
 }
 
+/** Signed quotient, RISC-V style: x/0 = 0 and INT64_MIN/-1 =
+ *  INT64_MIN (the one quotient that does not fit). */
+RegVal
+signedQuotient(S64 a, S64 b)
+{
+    if (b == 0)
+        return 0;
+    if (b == -1)
+        return U64{0} - static_cast<U64>(a);
+    return static_cast<RegVal>(a / b);
+}
+
+/** Signed remainder, RISC-V style: x%0 = x and INT64_MIN%-1 = 0. */
+RegVal
+signedRemainder(S64 a, S64 b)
+{
+    if (b == 0)
+        return static_cast<RegVal>(a);
+    if (b == -1)
+        return 0;
+    return static_cast<RegVal>(a % b);
+}
+
+/** Truncating double-to-integer conversion; NaN and values outside
+ *  the int64 range give INT64_MIN, as x86's cvttsd2si does. */
+RegVal
+truncateToInt(double value)
+{
+    constexpr double kLimit = 9223372036854775808.0; // 2^63
+    if (!(value >= -kLimit && value < kLimit))
+        return static_cast<RegVal>(std::numeric_limits<S64>::min());
+    return static_cast<RegVal>(static_cast<S64>(value));
+}
+
 } // namespace
 
+// Integer arithmetic wraps: it is done in U64, whose overflow is
+// defined, and gives the two's-complement bits of the signed result.
 RegVal
 evalCompute(const Instruction &inst, RegVal s1, RegVal s2, ThreadId tid,
             unsigned nthreads)
@@ -46,8 +83,8 @@ evalCompute(const Instruction &inst, RegVal s1, RegVal s2, ThreadId tid,
     S64 imm = inst.imm;
 
     switch (inst.op) {
-      case Opcode::ADD: return static_cast<RegVal>(a + b);
-      case Opcode::SUB: return static_cast<RegVal>(a - b);
+      case Opcode::ADD: return s1 + s2;
+      case Opcode::SUB: return s1 - s2;
       case Opcode::AND: return s1 & s2;
       case Opcode::OR: return s1 | s2;
       case Opcode::XOR: return s1 ^ s2;
@@ -56,7 +93,7 @@ evalCompute(const Instruction &inst, RegVal s1, RegVal s2, ThreadId tid,
       case Opcode::SRA: return static_cast<RegVal>(a >> (b & 63));
       case Opcode::SLT: return a < b ? 1 : 0;
       case Opcode::SLTU: return s1 < s2 ? 1 : 0;
-      case Opcode::ADDI: return static_cast<RegVal>(a + imm);
+      case Opcode::ADDI: return s1 + static_cast<U64>(imm);
       case Opcode::ANDI: return s1 & uimm(inst);
       case Opcode::ORI: return s1 | uimm(inst);
       case Opcode::XORI: return s1 ^ uimm(inst);
@@ -70,11 +107,9 @@ evalCompute(const Instruction &inst, RegVal s1, RegVal s2, ThreadId tid,
                << kImmBits;
       case Opcode::TID: return tid;
       case Opcode::NTH: return nthreads;
-      case Opcode::MUL: return static_cast<RegVal>(a * b);
-      case Opcode::DIV:
-        return b == 0 ? 0 : static_cast<RegVal>(a / b);
-      case Opcode::REM:
-        return b == 0 ? s1 : static_cast<RegVal>(a % b);
+      case Opcode::MUL: return s1 * s2;
+      case Opcode::DIV: return signedQuotient(a, b);
+      case Opcode::REM: return signedRemainder(a, b);
       case Opcode::FADD: return fromDouble(asDouble(s1) + asDouble(s2));
       case Opcode::FSUB: return fromDouble(asDouble(s1) - asDouble(s2));
       case Opcode::FMUL: return fromDouble(asDouble(s1) * asDouble(s2));
@@ -86,8 +121,7 @@ evalCompute(const Instruction &inst, RegVal s1, RegVal s2, ThreadId tid,
       case Opcode::FCMPLE: return asDouble(s1) <= asDouble(s2) ? 1 : 0;
       case Opcode::FCMPEQ: return asDouble(s1) == asDouble(s2) ? 1 : 0;
       case Opcode::CVTIF: return fromDouble(static_cast<double>(a));
-      case Opcode::CVTFI:
-        return static_cast<RegVal>(static_cast<S64>(asDouble(s1)));
+      case Opcode::CVTFI: return truncateToInt(asDouble(s1));
       default:
         panic("evalCompute called on non-compute opcode %s",
               opName(inst.op));
@@ -113,7 +147,7 @@ evalBranchTaken(const Instruction &inst, RegVal s1, RegVal s2)
 Addr
 evalEffectiveAddress(const Instruction &inst, RegVal base)
 {
-    return static_cast<Addr>(static_cast<std::int64_t>(base) + inst.imm);
+    return static_cast<Addr>(base + static_cast<U64>(inst.imm));
 }
 
 } // namespace sdsp

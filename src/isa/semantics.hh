@@ -10,8 +10,12 @@
  *  - ADDI/SLTI/LDI/LD/ST sign-extend their 10-bit immediate;
  *    ANDI/ORI/XORI zero-extend it so that LUI+ORI composes 27-bit
  *    constants; shift immediates use the low 6 bits.
+ *  - Integer add, subtract and multiply wrap modulo 2^64.
  *  - Integer divide by zero yields 0 (quotient) / the dividend
- *    (remainder), mirroring a hardware unit that never traps.
+ *    (remainder), and INT64_MIN / -1 yields INT64_MIN with remainder
+ *    0, as in RISC-V: a hardware unit that never traps.
+ *  - CVTFI truncates toward zero; NaN and out-of-range values give
+ *    INT64_MIN.
  */
 
 #ifndef SDSP_ISA_SEMANTICS_HH

@@ -16,7 +16,6 @@
 #include "common/trace.hh"
 #include "core/processor.hh"
 #include "critpath/report.hh"
-#include "harness/runner.hh"
 #include "trace_frontend/replay.hh"
 #include "trace_frontend/trace_format.hh"
 
@@ -69,14 +68,14 @@ parsePolicy(const std::string &name)
 
 void
 printRunSummary(std::ostream &out, const MachineConfig &config,
-                const SimResult &sim, bool wall_timed_out,
+                const SimResult &sim,
                 const std::vector<std::uint64_t> &per_thread)
 {
     out << "machine   : " << config.toString() << "\n";
     out << "finished  : "
         << (sim.finished ? "yes"
-                         : wall_timed_out ? "NO (wall-clock timeout)"
-                                          : "NO (cycle cap)")
+                         : sim.timedOut ? "NO (wall-clock timeout)"
+                                        : "NO (cycle cap)")
         << "\n";
     out << "cycles    : " << sim.cycles << "\n";
     out << "committed : " << sim.committedInstructions << "\n";
@@ -231,7 +230,7 @@ runReplayExact(const CliOptions &options, std::ostream &out)
     for (const auto &stream : trace.perThread)
         per_thread.push_back(stream.size());
 
-    printRunSummary(out, config, replay.sim, false, per_thread);
+    printRunSummary(out, config, replay.sim, per_thread);
     out << "recorded  : " << trace.cycles << " cycles, "
         << trace.committed << " instructions\n";
     if (replay.verified) {
@@ -319,7 +318,7 @@ runReplayStream(const CliOptions &options, std::ostream &out)
 
     std::vector<std::uint64_t> per_thread =
         perThreadCommitted(cpu, config.numThreads);
-    printRunSummary(out, config, sim, false, per_thread);
+    printRunSummary(out, config, sim, per_thread);
     for (std::size_t t = 0; t < replay.streamLengths.size(); ++t) {
         if (per_thread[t] != replay.streamLengths[t]) {
             out << format("sdsp-run: thread %zu committed %llu but "
@@ -643,27 +642,22 @@ runCli(const CliOptions &options, std::ostream &out,
     if (tracing)
         cpu.setTraceSink(&tee);
 
-    SimResult sim;
-    bool wall_timed_out = false;
+    std::optional<Processor::Deadline> deadline;
     if (options.timeoutSeconds > 0.0) {
-        auto deadline =
+        deadline =
             std::chrono::steady_clock::now() +
             std::chrono::duration_cast<
                 std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(options.timeoutSeconds));
-        sim = runToDeadline(cpu, options.config.maxCycles, deadline,
-                            &wall_timed_out);
-    } else {
-        sim = cpu.run();
     }
+    SimResult sim = cpu.run(deadline);
     if (recorder)
         recorder->noteResult(sim);
     if (tracing)
         tee.finish();
     std::vector<std::uint64_t> per_thread =
         perThreadCommitted(cpu, options.config.numThreads);
-    printRunSummary(out, options.config, sim, wall_timed_out,
-                    per_thread);
+    printRunSummary(out, options.config, sim, per_thread);
     if (!options.summaryJson.empty() &&
         !writeSummaryJson(options.summaryJson, options.config, sim,
                           per_thread, out))
@@ -690,7 +684,7 @@ runCli(const CliOptions &options, std::ostream &out,
         return 1;
     if (sim.finished)
         return 0;
-    return wall_timed_out ? 3 : 2;
+    return sim.timedOut ? 3 : 2;
 }
 
 } // namespace sdsp

@@ -5,7 +5,7 @@
  * the pooled SU block storage, the reused fetch latch, the scratch
  * vectors and the pre-reserved index structures — a regression in any
  * of them shows up here as a nonzero count, long before it shows up
- * as a throughput loss in sdsp_bench_simspeed.
+ * as a throughput loss in perfbench's `grid` workload.
  *
  * The global operator new of this binary counts allocations while a
  * flag is set; the flag is only set around the measured cycle loop.
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "core/processor.hh"
-#include "harness/batch.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -125,47 +124,6 @@ TEST(AllocFree, GroupOneWorkloadSteadyState)
 {
     // LL7: loads, stores, branches — every pipeline path.
     expectAllocFree(*allWorkloads().front(), 4);
-}
-
-TEST(AllocFree, BatchedSteadyState)
-{
-    // The batched cycle loop (harness/batch.hh) must be as
-    // allocation-free in steady state as a single processor: the
-    // per-lane slice bookkeeping is plain arithmetic and the lanes
-    // reuse the same pooled structures as a serial run.
-    const Workload &workload = *allWorkloads().front();
-    MachineConfig cfg;
-    cfg.numThreads = 4;
-
-    // Learn the run length first, so the measured window sits strictly
-    // inside the run: lane completion (finishTrace, result packaging)
-    // is allowed to allocate, the steady-state loop is not.
-    BatchRunner probe(workload, {cfg}, /*scale=*/50);
-    Cycle total = probe.run().front().result.cycles;
-    ASSERT_GT(total, Cycle{8192})
-        << "workload too short for a steady-state window";
-
-    std::vector<MachineConfig> configs(3, cfg);
-    BatchRunner batch(workload, configs, /*scale=*/50, RunLimits{},
-                      /*slice_cycles=*/1024);
-
-    // Warm up every lane past its pool-filling phase.
-    bool running = true;
-    while (running && batch.processor(0).cycle() < total / 4)
-        running = batch.stepSlice();
-    ASSERT_TRUE(running) << "workload too short for the warmup period";
-
-    g_allocs = 0;
-    g_counting = true;
-    while (running && batch.processor(0).cycle() < (3 * total) / 4)
-        running = batch.stepSlice();
-    g_counting = false;
-    ASSERT_TRUE(running)
-        << "a lane finished inside the measured period";
-
-    EXPECT_EQ(g_allocs, 0u)
-        << g_allocs << " heap allocations in the steady-state batched "
-        << "cycle loop of " << workload.name();
 }
 
 TEST(AllocFree, GroupTwoWorkloadSteadyState)

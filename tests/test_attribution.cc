@@ -26,6 +26,13 @@ struct GridPoint
     unsigned threads;
 };
 
+/** Test names must not depend on where the string literal lives. */
+void
+PrintTo(const GridPoint &point, std::ostream *os)
+{
+    *os << point.benchmark << "x" << point.threads;
+}
+
 class Attribution : public ::testing::TestWithParam<GridPoint>
 {
 };

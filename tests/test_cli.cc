@@ -8,10 +8,16 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "asm/assembler.hh"
+#include "core/processor.hh"
+#include "isa/interpreter.hh"
 #include "tools/cli.hh"
+#include "tools/critpath_cli.hh"
+#include "tools/lint_cli.hh"
 
 namespace sdsp
 {
@@ -31,7 +37,14 @@ class CliFile : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "cli_test_prog.s";
+        // One file per test: ctest runs the tests of this fixture as
+        // concurrent processes, which must not rewrite each other's
+        // program.
+        path = ::testing::TempDir() + "cli_test_prog_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               ".s";
         std::ofstream file(path);
         file << R"(
             .dword out 0
@@ -51,6 +64,8 @@ class CliFile : public ::testing::Test
                 halt
         )";
     }
+
+    void TearDown() override { std::remove(path.c_str()); }
 
     std::string path;
 };
@@ -343,6 +358,52 @@ TEST_F(CliFile, WallClockTimeoutReturnsDistinctCode)
     EXPECT_EQ(runCli(plain, plain_out, trace), 0);
     EXPECT_EQ(runCli(budgeted, budgeted_out, trace), 0);
     EXPECT_EQ(plain_out.str(), budgeted_out.str());
+}
+
+// ---- Integer overflow regression ----
+
+/** INT64_MIN / -1 and INT64_MIN % -1: the quotient does not fit, and
+ *  a host division of these operands raises SIGFPE. */
+const char *const kOverflowPrograms[] = {
+    "ldi r1, 1\nslli r1, r1, 63\nldi r2, -1\ndiv r3, r1, r2\nhalt\n",
+    "ldi r1, 1\nslli r1, r1, 63\nldi r2, -1\nrem r3, r1, r2\nhalt\n",
+};
+
+TEST(CliOverflow, MostNegativeDivisionRunsInEveryTool)
+{
+    // RISC-V's answers: INT64_MIN for the quotient, 0 for the
+    // remainder.
+    const RegVal expected[] = {RegVal{1} << 63, 0};
+    for (std::size_t k = 0; k < 2; ++k) {
+        const char *source = kOverflowPrograms[k];
+        SCOPED_TRACE(source);
+
+        // The interpreter and the pipeline agree.
+        Program program = assemble(source).program;
+        Interpreter interp(program, 1);
+        ASSERT_TRUE(interp.run());
+        EXPECT_EQ(interp.reg(0, 3), expected[k]);
+        MachineConfig config;
+        config.numThreads = 1;
+        Processor cpu(config, program);
+        ASSERT_TRUE(cpu.run().finished);
+        EXPECT_EQ(cpu.readReg(0, 3), expected[k]);
+
+        // sdsp-run and sdsp-critpath finish; sdsp-lint, which folds
+        // the division as a constant, reports its findings.
+        std::string path = ::testing::TempDir() + "cli_overflow_" +
+                           std::to_string(k) + ".s";
+        std::ofstream(path) << source;
+        std::ostringstream out, trace;
+        EXPECT_EQ(runCli(parse({path.c_str()}), out, trace), 0)
+            << out.str();
+        EXPECT_EQ(runCritpathCli(parseCritpathCliOptions({path}), out),
+                  0)
+            << out.str();
+        EXPECT_EQ(runLintCli(parseLintCliOptions({path}), out), 1)
+            << out.str();
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

@@ -421,9 +421,10 @@ TEST(Processor, CycleAccountingStats)
 TEST(Processor, TraceProducesEvents)
 {
     std::ostringstream trace;
+    TextTraceSink sink(trace);
     MachineConfig cfg = baseConfig();
     Processor cpu(cfg, countdownLoop(5));
-    cpu.setTrace(&trace);
+    cpu.setTraceSink(&sink);
     ASSERT_TRUE(cpu.run().finished);
     std::string text = trace.str();
     EXPECT_NE(text.find("fetch:"), std::string::npos);

@@ -5,6 +5,7 @@
  */
 
 #include <bit>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,10 @@ asD(RegVal raw)
     return std::bit_cast<double>(raw);
 }
 
+/** INT64_MIN and INT64_MAX as register values. */
+constexpr RegVal kMin = RegVal{1} << 63;
+constexpr RegVal kMax = kMin - 1;
+
 RegVal
 run(Opcode op, RegVal s1 = 0, RegVal s2 = 0, std::int32_t imm = 0)
 {
@@ -44,6 +49,11 @@ TEST(IntOps, Arithmetic)
     EXPECT_EQ(run(Opcode::AND, 0b1100, 0b1010), 0b1000u);
     EXPECT_EQ(run(Opcode::OR, 0b1100, 0b1010), 0b1110u);
     EXPECT_EQ(run(Opcode::XOR, 0b1100, 0b1010), 0b0110u);
+    // Two's-complement wrap, not undefined behaviour.
+    EXPECT_EQ(run(Opcode::ADD, kMax, 1), kMin);
+    EXPECT_EQ(run(Opcode::SUB, kMin, 1), kMax);
+    EXPECT_EQ(run(Opcode::ADDI, kMax, 0, 1), kMin);
+    EXPECT_EQ(run(Opcode::MUL, kMax, 2), static_cast<RegVal>(-2));
 }
 
 TEST(IntOps, ShiftsAndCompares)
@@ -96,6 +106,12 @@ TEST(IntOps, DivideAndRemainder)
     // Hardware-style divide-by-zero: no trap.
     EXPECT_EQ(run(Opcode::DIV, 42, 0), 0u);
     EXPECT_EQ(run(Opcode::REM, 42, 0), 42u);
+    // The one quotient that overflows, RISC-V style: no trap either.
+    const RegVal minus_one = static_cast<RegVal>(-1);
+    EXPECT_EQ(run(Opcode::DIV, kMin, minus_one), kMin);
+    EXPECT_EQ(run(Opcode::REM, kMin, minus_one), 0u);
+    EXPECT_EQ(static_cast<std::int64_t>(run(Opcode::DIV, 7, minus_one)),
+              -7);
 }
 
 TEST(ThreadOps, TidAndNth)
@@ -131,6 +147,11 @@ TEST(FpOps, Conversions)
     EXPECT_EQ(static_cast<std::int64_t>(
                   run(Opcode::CVTFI, fp(-3.75))),
               -3); // truncation toward zero
+    // NaN and out-of-range values give INT64_MIN.
+    EXPECT_EQ(run(Opcode::CVTFI, fp(std::nan(""))), kMin);
+    EXPECT_EQ(run(Opcode::CVTFI, fp(1e300)), kMin);
+    EXPECT_EQ(run(Opcode::CVTFI, fp(-1e300)), kMin);
+    EXPECT_EQ(run(Opcode::CVTFI, fp(-9223372036854775808.0)), kMin);
 }
 
 TEST(Branches, Conditions)

@@ -246,32 +246,6 @@ TEST(TextSink, IgnoresStructuredOnlyKinds)
     EXPECT_EQ(out.str(), "");
 }
 
-TEST(TextSink, SetTraceAndSetTraceSinkAgree)
-{
-    Program prog = loopProgram();
-    MachineConfig cfg = traceConfig(2);
-
-    std::ostringstream via_stream;
-    {
-        Processor cpu(cfg, prog);
-        cpu.setTrace(&via_stream);
-        cpu.run();
-    }
-
-    std::ostringstream via_sink;
-    {
-        TextTraceSink sink(via_sink);
-        Processor cpu(cfg, prog);
-        cpu.setTraceSink(&sink);
-        cpu.run();
-    }
-
-    EXPECT_EQ(via_stream.str(), via_sink.str());
-    EXPECT_NE(via_stream.str().find("fetch: tid="), std::string::npos);
-    EXPECT_NE(via_stream.str().find("commit: block"),
-              std::string::npos);
-}
-
 // ---- Null sink and tee ----
 
 TEST(NullSink, SwallowsEverything)
