@@ -103,6 +103,15 @@ TextTraceSink::emit(const TraceEvent &event)
     }
 }
 
+TraceKindMask
+TextTraceSink::kinds() const
+{
+    return traceKindBit(TraceEventKind::Fetch) |
+           traceKindBit(TraceEventKind::CommitHalt) |
+           traceKindBit(TraceEventKind::CommitBlock) |
+           traceKindBit(TraceEventKind::Squash);
+}
+
 // --------------------------------------------------------------------
 // JsonTraceSink
 // --------------------------------------------------------------------
@@ -299,22 +308,27 @@ JsonTraceSink::finish()
 void
 TeeTraceSink::add(TraceSink *sink)
 {
-    if (sink)
-        sinks_.push_back(sink);
+    if (!sink)
+        return;
+    sinks_.push_back({sink, sink->kinds()});
+    kinds_ |= sinks_.back().kinds;
 }
 
 void
 TeeTraceSink::emit(const TraceEvent &event)
 {
-    for (TraceSink *sink : sinks_)
-        sink->emit(event);
+    const TraceKindMask bit = traceKindBit(event.kind);
+    for (const Entry &entry : sinks_) {
+        if (entry.kinds & bit)
+            entry.sink->emit(event);
+    }
 }
 
 void
 TeeTraceSink::finish()
 {
-    for (TraceSink *sink : sinks_)
-        sink->finish();
+    for (const Entry &entry : sinks_)
+        entry.sink->finish();
 }
 
 } // namespace sdsp

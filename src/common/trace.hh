@@ -17,10 +17,19 @@
  *    be parsed on its own (strip the trailing comma);
  *  - NullTraceSink swallows everything (useful as a test double).
  *
- * Cost model: the processor holds a `TraceSink *` that is nullptr when
- * tracing is off, so the disabled hot path pays one pointer test per
- * event site and performs no allocation — test_allocfree enforces
- * this, and perfbench's `grid` workload measures the loop's speed.
+ * Cost model: every sink declares the event kinds it consumes with
+ * kinds(), a TraceKindMask. Processor::setTraceSink reads the mask
+ * once, and each event site tests its kind's bit, so an event no sink
+ * wants is never built. With no sink attached the mask is empty: the
+ * hot path pays one bit test per event site and performs no
+ * allocation — test_allocfree enforces this, and perfbench's `grid`
+ * workload measures the loop's speed. The stall-span and counter
+ * bookkeeping runs only when Stall or Counter events are wanted.
+ *
+ * A TeeTraceSink reports the union of its sinks' masks and forwards
+ * each event only to the sinks that want it. Because the processor
+ * reads kinds() once, a tee must receive all of its sinks before it
+ * is attached.
  */
 
 #ifndef SDSP_COMMON_TRACE_HH
@@ -54,6 +63,20 @@ enum class TraceEventKind : std::uint8_t
 
 /** Number of event kinds (for per-kind tables in tests/sinks). */
 inline constexpr unsigned kNumTraceEventKinds = 11;
+
+/** A set of TraceEventKinds, one bit per kind (see traceKindBit). */
+using TraceKindMask = std::uint32_t;
+
+/** The mask bit of @p kind. */
+constexpr TraceKindMask
+traceKindBit(TraceEventKind kind)
+{
+    return TraceKindMask{1} << static_cast<unsigned>(kind);
+}
+
+/** Every event kind. */
+inline constexpr TraceKindMask kAllTraceKinds =
+    (TraceKindMask{1} << kNumTraceEventKinds) - 1;
 
 /** Stable lowercase name of @p kind (JSON `name` field). */
 const char *traceEventName(TraceEventKind kind);
@@ -175,8 +198,13 @@ class TraceSink
     virtual ~TraceSink() = default;
 
     /** Receive one event. Events of one cycle arrive in pipeline
-     *  stage order; Stall spans arrive when the span *ends*. */
+     *  stage order; Stall spans arrive when the span *ends*. Only
+     *  kinds in kinds() are delivered. */
     virtual void emit(const TraceEvent &event) = 0;
+
+    /** The event kinds this sink consumes (default: all). Read once,
+     *  when the sink is attached, so it must not change afterwards. */
+    virtual TraceKindMask kinds() const { return kAllTraceKinds; }
 
     /** Finish the output document (idempotent; JSON closer). */
     virtual void finish() {}
@@ -201,6 +229,7 @@ class TextTraceSink final : public TraceSink
     explicit TextTraceSink(std::ostream &out) : out_(out) {}
 
     void emit(const TraceEvent &event) override;
+    TraceKindMask kinds() const override;
 
   private:
     std::ostream &out_;
@@ -247,17 +276,31 @@ class JsonTraceSink final : public TraceSink
     std::vector<bool> announced_;
 };
 
-/** Forwards every event to each registered sink, in order. */
+/**
+ * Forwards each event to every registered sink that wants its kind,
+ * in registration order. Add every sink before attaching the tee:
+ * the processor reads the tee's kinds() once, when it is attached.
+ */
 class TeeTraceSink final : public TraceSink
 {
   public:
     void add(TraceSink *sink);
 
     void emit(const TraceEvent &event) override;
+    TraceKindMask kinds() const override { return kinds_; }
     void finish() override;
 
   private:
-    std::vector<TraceSink *> sinks_;
+    struct Entry
+    {
+        TraceSink *sink;
+        /** The sink's kinds(), read when it was added. */
+        TraceKindMask kinds;
+    };
+
+    std::vector<Entry> sinks_;
+    /** Union of the sinks' masks. */
+    TraceKindMask kinds_ = 0;
 };
 
 } // namespace sdsp

@@ -187,7 +187,7 @@ Processor::commitStage()
 
         if (entry.inst.isHalt()) {
             fetch.onHaltCommitted(entry.tid);
-            if (sink) {
+            if (traces(TraceEventKind::CommitHalt)) {
                 TraceEvent ev;
                 ev.kind = TraceEventKind::CommitHalt;
                 ev.cycle = now;
@@ -215,7 +215,7 @@ Processor::commitStage()
         sample(LatencyStage::CompleteToCommit, now - entry.completedAt);
         sample(LatencyStage::FetchToCommit, now - entry.fetchedAt);
 
-        if (sink) {
+        if (traces(TraceEventKind::CommitInst)) {
             TraceEvent ev;
             ev.kind = TraceEventKind::CommitInst;
             ev.cycle = now;
@@ -253,7 +253,7 @@ Processor::commitStage()
     sb.commitUpTo(block.tid, max_seq);
     fetch.onCommitBlock(block.tid);
 
-    if (sink) {
+    if (traces(TraceEventKind::CommitBlock)) {
         TraceEvent ev;
         ev.kind = TraceEventKind::CommitBlock;
         ev.cycle = now;
@@ -298,7 +298,7 @@ Processor::handleMispredict(SuEntry &entry)
 
     cycleFlags[tid] |= kFlagSquashed;
 
-    if (sink) {
+    if (traces(TraceEventKind::Squash)) {
         TraceEvent ev;
         ev.kind = TraceEventKind::Squash;
         ev.cycle = now;
@@ -324,7 +324,7 @@ Processor::writebackStage()
         su.markDone(*entry);
         entry->completedAt = now;
 
-        if (sink) {
+        if (traces(TraceEventKind::Writeback)) {
             TraceEvent ev;
             ev.kind = TraceEventKind::Writeback;
             ev.cycle = now;
@@ -444,7 +444,7 @@ Processor::tryIssue(SuEntry &entry)
                 // stalls.
                 missPendingUntil[entry.tid] = std::max(
                     missPendingUntil[entry.tid], access.readyCycle);
-                if (sink) {
+                if (traces(TraceEventKind::CacheMiss)) {
                     TraceEvent ev;
                     ev.kind = TraceEventKind::CacheMiss;
                     ev.cycle = now;
@@ -488,7 +488,7 @@ Processor::tryIssue(SuEntry &entry)
     ++statIssued;
     cycleFlags[entry.tid] |= kFlagProgress;
 
-    if (sink) {
+    if (traces(TraceEventKind::Issue)) {
         TraceEvent ev;
         ev.kind = TraceEventKind::Issue;
         ev.cycle = now;
@@ -645,7 +645,7 @@ Processor::dispatchStage()
     latchWaitCause = DispatchWaitCause::None;
     cycleFlags[tid] |= kFlagProgress;
 
-    if (sink) {
+    if (traces(TraceEventKind::Dispatch)) {
         TraceEvent ev;
         ev.kind = TraceEventKind::Dispatch;
         ev.cycle = now;
@@ -676,7 +676,7 @@ Processor::fetchStage()
         latchWaitCause = DispatchWaitCause::None;
         cycleFlags[fetchLatch.tid] |= kFlagProgress;
 
-        if (sink) {
+        if (traces(TraceEventKind::Fetch)) {
             TraceEvent ev;
             ev.kind = TraceEventKind::Fetch;
             ev.cycle = now;
@@ -766,14 +766,14 @@ Processor::attributeCycle()
 
         ++statStallCycles[t][static_cast<unsigned>(reason)];
 
-        if (sink && reason != spanReason[t]) {
+        if (traces(TraceEventKind::Stall) && reason != spanReason[t]) {
             flushStallSpan(tid, now);
             spanReason[t] = reason;
             spanStart[t] = now;
         }
     }
 
-    if (!sink)
+    if (!traces(TraceEventKind::Counter))
         return;
 
     unsigned occ = su.occupancy();
@@ -835,7 +835,7 @@ Processor::run(std::optional<Deadline> deadline)
 void
 Processor::finishTrace()
 {
-    if (!sink)
+    if (!traces(TraceEventKind::Stall))
         return;
     // Close out any stall span still open at end of run.
     for (unsigned t = 0; t < cfg.numThreads; ++t) {

@@ -249,8 +249,15 @@ class Processor
     void reportStats(StatsRegistry &registry) const;
 
     /** Attach a structured event sink (nullptr disables tracing).
-     *  The sink must outlive the processor or be detached first. */
-    void setTraceSink(TraceSink *s) { sink = s; }
+     *  The sink must outlive the processor or be detached first.
+     *  Its kinds() is read here, once: only those kinds are built
+     *  and emitted. */
+    void
+    setTraceSink(TraceSink *s)
+    {
+        sink = s;
+        traceKinds = s ? s->kinds() : 0;
+    }
 
     /** Override load/store effective addresses per PC (trace-stream
      *  replay); nullptr restores computed addressing. The source must
@@ -282,6 +289,14 @@ class Processor
      *  read every few thousand cycles costs under 0.1% and bounds the
      *  overshoot past a deadline to well under a millisecond. */
     static constexpr Cycle kDeadlineCheckCycles = 4096;
+
+    /** Does the attached sink want events of @p kind? False when
+     *  no sink is attached. */
+    bool
+    traces(TraceEventKind kind) const
+    {
+        return traceKinds & traceKindBit(kind);
+    }
 
     /** Emit the stall spans still open on the trace sink; run()
      *  calls it once when it stops stepping. */
@@ -317,7 +332,7 @@ class Processor
 
     /** Emit the open stall span of @p tid ending (exclusive) at
      *  @p end_excl, if it is non-Active and non-empty. Requires a
-     *  sink. */
+     *  sink that wants Stall events. */
     void flushStallSpan(ThreadId tid, Cycle end_excl);
 
     MachineConfig cfg;
@@ -348,6 +363,8 @@ class Processor
 
     /** Event consumer; nullptr = tracing off (the zero-cost case). */
     TraceSink *sink = nullptr;
+    /** sink->kinds(), read at attach time; 0 when no sink. */
+    TraceKindMask traceKinds = 0;
     /** Per-PC address overrides; nullptr = computed addressing. */
     const ReplayAddressSource *replayAddrs = nullptr;
 
@@ -382,7 +399,8 @@ class Processor
     /** Outstanding load-miss window: cycles before this are charged
      *  to CacheMiss absent stronger evidence. */
     std::vector<Cycle> missPendingUntil;
-    /** Open stall-span state (used only while a sink is attached). */
+    /** Open stall-span state (used only while Stall events are
+     *  traced). */
     std::vector<StallReason> spanReason;
     std::vector<Cycle> spanStart;
     /** Last su_occupancy counter value emitted to the sink. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -200,23 +199,98 @@ WhatIf::isPureCapacityIncrease(const MachineConfig &config) const
 namespace
 {
 
-/** Stage rank within one cycle, matching the processor's stage order
- *  (commit runs first, fetch last): an edge with weight 0 between
- *  same-cycle events always goes from a lower to a higher rank. */
-unsigned
-stageRank(DdgNodeKind kind)
+/** One node to place: its observed cycle and provisional slot. */
+struct CycleSlot
 {
-    switch (kind) {
-      case DdgNodeKind::Start: return 0;
-      case DdgNodeKind::Commit: return 1;
-      case DdgNodeKind::Complete: return 2;
-      case DdgNodeKind::Issue: return 3;
-      case DdgNodeKind::Dispatch: return 4;
-      case DdgNodeKind::Fetch: return 5;
-      case DdgNodeKind::End: return 6;
+    Cycle cycle;
+    std::uint32_t slot;
+};
+
+/**
+ * Stable LSD radix sort of @p items by cycle in 11-bit digits: linear
+ * in the node count, with no bucket per cycle (runs may last up to
+ * the 200M-cycle cap). The largest cycle sets the number of passes.
+ */
+void
+sortByCycle(std::vector<CycleSlot> &items)
+{
+    constexpr unsigned kDigitBits = 11;
+    constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+    Cycle max_cycle = 0;
+    for (const CycleSlot &item : items)
+        max_cycle = std::max(max_cycle, item.cycle);
+
+    std::vector<CycleSlot> scratch(items.size());
+    std::vector<std::size_t> start(kBuckets);
+    for (unsigned shift = 0; shift < 64 && (max_cycle >> shift) != 0;
+         shift += kDigitBits) {
+        std::fill(start.begin(), start.end(), 0);
+        for (const CycleSlot &item : items)
+            ++start[(item.cycle >> shift) & (kBuckets - 1)];
+        std::size_t sum = 0;
+        for (std::size_t &count : start) {
+            std::size_t here = count;
+            count = sum;
+            sum += here;
+        }
+        for (const CycleSlot &item : items)
+            scratch[start[(item.cycle >> shift) & (kBuckets - 1)]++] = item;
+        items.swap(scratch);
     }
-    return 7;
 }
+
+/**
+ * Dense tag -> index table over the tags of @p count entries. The
+ * processor numbers every dispatched entry, squashed ones included,
+ * so the table spans the run's dispatched tags: a small multiple of
+ * the committed count.
+ */
+class TagIndex
+{
+  public:
+    template <typename TagOf>
+    TagIndex(std::uint32_t count, TagOf tag_of)
+    {
+        for (std::uint32_t i = 0; i < count; ++i) {
+            min_ = std::min(min_, tag_of(i));
+            max_ = std::max(max_, tag_of(i));
+        }
+        table_.assign(count ? max_ - min_ + 1 : 0, kNone);
+        for (std::uint32_t i = 0; i < count; ++i) {
+            std::uint32_t &cell = table_[tag_of(i) - min_];
+            sdsp_assert(cell == kNone, "tag %llu recorded twice",
+                        static_cast<unsigned long long>(tag_of(i)));
+            cell = i;
+        }
+    }
+
+    /** Index of the entry tagged @p tag, or -1 if none is. */
+    std::int64_t
+    find(Tag tag) const
+    {
+        if (tag < min_ || tag > max_ || table_[tag - min_] == kNone)
+            return -1;
+        return table_[tag - min_];
+    }
+
+    /** Every entry's index, in ascending tag order. */
+    std::vector<std::uint32_t>
+    inTagOrder() const
+    {
+        std::vector<std::uint32_t> order;
+        for (std::uint32_t index : table_) {
+            if (index != kNone)
+                order.push_back(index);
+        }
+        return order;
+    }
+
+  private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    Tag min_ = ~Tag{0};
+    Tag max_ = 0;
+    std::vector<std::uint32_t> table_;
+};
 
 } // namespace
 
@@ -247,7 +321,6 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
     auto completeSlot = [&](std::uint32_t i) { return 3 * B + N + i; };
 
     std::vector<Node> slots(numSlots);
-    std::vector<std::uint64_t> age(numSlots, 0);
     for (std::uint32_t b = 0; b < B; ++b) {
         const DdgBlock &block = trace.blocks[b];
         slots[fetchSlot(b)] = {DdgNodeKind::Fetch, b, block.fetchedAt};
@@ -255,112 +328,120 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
                               block.dispatchedAt};
         slots[commitSlot(b)] = {DdgNodeKind::Commit, b,
                                 block.committedAt};
-        age[fetchSlot(b)] = block.blockSeq;
-        age[dispSlot(b)] = block.blockSeq;
-        age[commitSlot(b)] = block.blockSeq;
     }
     for (std::uint32_t i = 0; i < N; ++i) {
         const DdgInst &inst = trace.insts[i];
         slots[issueSlot(i)] = {DdgNodeKind::Issue, i, inst.issuedAt};
         slots[completeSlot(i)] = {DdgNodeKind::Complete, i,
                                   inst.completedAt};
-        age[issueSlot(i)] = inst.seq;
-        age[completeSlot(i)] = inst.seq;
     }
     slots[slotStart] = {DdgNodeKind::Start, 0, 0};
     slots[slotEnd] = {DdgNodeKind::End, 0, measured_};
 
+    // Age order: the processor numbers entries at dispatch, so block
+    // and instruction tags order them by age. The instruction table
+    // also resolves RAW producers (seq -> instruction index).
+    const TagIndex instBySeq(N, [&](std::uint32_t i) {
+        return trace.insts[i].seq;
+    });
+    const TagIndex blockBySeq(B, [&](std::uint32_t b) {
+        return trace.blocks[b].blockSeq;
+    });
+
     // The fixed topological order: observed time, then pipeline
     // stage rank within the cycle, then age. Both the baseline and
-    // every what-if relaxation run in this order.
-    std::vector<std::uint32_t> order(numSlots);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  const Node &na = slots[a];
-                  const Node &nb = slots[b];
-                  if (na.observed != nb.observed)
-                      return na.observed < nb.observed;
-                  unsigned ra = stageRank(na.kind);
-                  unsigned rb = stageRank(nb.kind);
-                  if (ra != rb)
-                      return ra < rb;
-                  if (age[a] != age[b])
-                      return age[a] < age[b];
-                  return a < b;
-              });
+    // every what-if relaxation run in this order. The stage rank
+    // follows the processor's stage order (commit runs first, fetch
+    // last), so an edge with weight 0 between same-cycle events
+    // always goes from a lower to a higher rank. The nodes are listed
+    // by rank (Start, Commit, Complete, Issue, Dispatch, Fetch, End),
+    // each rank in age order, then stably sorted on their cycle.
+    //
+    // Placing the nodes also reads off the baseline orderings backing
+    // the rewireable capacity edges: one block fetches, dispatches and
+    // commits per cycle, and same-cycle issues are in age order, so
+    // filtering the order by node kind gives each stage's order.
     std::vector<std::uint32_t> pos(numSlots);
     nodes_.resize(numSlots);
-    for (std::uint32_t t = 0; t < numSlots; ++t) {
-        pos[order[t]] = t;
-        nodes_[t] = slots[order[t]];
+    std::vector<std::uint32_t> byDispatch, byCommit, byFetch, byIssue;
+    byDispatch.reserve(B);
+    byCommit.reserve(B);
+    byFetch.reserve(B);
+    byIssue.reserve(N);
+    {
+        // Scoped so the sort's buffers are freed before the edge
+        // arrays are allocated.
+        std::vector<CycleSlot> order;
+        order.reserve(numSlots);
+        const std::vector<std::uint32_t> blocksByAge =
+            blockBySeq.inTagOrder();
+        const std::vector<std::uint32_t> instsByAge =
+            instBySeq.inTagOrder();
+        auto list = [&](const std::vector<std::uint32_t> &owners,
+                        auto slot_of) {
+            for (std::uint32_t owner : owners) {
+                const std::uint32_t slot = slot_of(owner);
+                order.push_back({slots[slot].observed, slot});
+            }
+        };
+        order.push_back({0, slotStart});
+        list(blocksByAge, commitSlot);
+        list(instsByAge, completeSlot);
+        list(instsByAge, issueSlot);
+        list(blocksByAge, dispSlot);
+        list(blocksByAge, fetchSlot);
+        order.push_back({measured_, slotEnd});
+        sortByCycle(order);
+
+        for (std::uint32_t t = 0; t < numSlots; ++t) {
+            const Node &node = slots[order[t].slot];
+            pos[order[t].slot] = t;
+            nodes_[t] = node;
+            switch (node.kind) {
+              case DdgNodeKind::Fetch:
+                byFetch.push_back(node.owner);
+                break;
+              case DdgNodeKind::Dispatch:
+                byDispatch.push_back(node.owner);
+                break;
+              case DdgNodeKind::Commit:
+                byCommit.push_back(node.owner);
+                break;
+              case DdgNodeKind::Issue:
+                byIssue.push_back(node.owner);
+                break;
+              default:
+                break;
+            }
+        }
     }
     sdsp_assert(nodes_.front().kind == DdgNodeKind::Start &&
                     nodes_.back().kind == DdgNodeKind::End,
                 "Start/End not at the ends of the topological order");
-    const std::uint32_t startTopo = 0;
-    const std::uint32_t endTopo = numSlots - 1;
+    for (std::uint32_t r = 1; r < B; ++r) {
+        const DdgBlock &prev = trace.blocks[byFetch[r - 1]];
+        const DdgBlock &cur = trace.blocks[byFetch[r]];
+        sdsp_assert(prev.fetchedAt < cur.fetchedAt &&
+                        trace.blocks[byDispatch[r - 1]].dispatchedAt <
+                            trace.blocks[byDispatch[r]].dispatchedAt &&
+                        trace.blocks[byCommit[r - 1]].committedAt <
+                            trace.blocks[byCommit[r]].committedAt,
+                    "two blocks share a fetch, dispatch or commit "
+                    "cycle");
+    }
 
-    // Baseline orderings backing the rewireable capacity edges.
-    std::vector<std::uint32_t> byDispatch(B), byCommit(B), byFetch(B);
-    std::iota(byDispatch.begin(), byDispatch.end(), 0u);
-    byCommit = byDispatch;
-    byFetch = byDispatch;
-    std::sort(byDispatch.begin(), byDispatch.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return trace.blocks[a].dispatchedAt <
-                         trace.blocks[b].dispatchedAt;
-              });
-    std::sort(byCommit.begin(), byCommit.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return trace.blocks[a].committedAt <
-                         trace.blocks[b].committedAt;
-              });
-    std::sort(byFetch.begin(), byFetch.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return trace.blocks[a].fetchedAt <
-                         trace.blocks[b].fetchedAt;
-              });
     commitOrder_.resize(B);
     dispatchRankOfBlock_.resize(B);
     for (std::uint32_t r = 0; r < B; ++r) {
         commitOrder_[r] = pos[commitSlot(byCommit[r])];
         dispatchRankOfBlock_[byDispatch[r]] = r;
     }
-    std::vector<std::uint32_t> byIssue(N);
-    std::iota(byIssue.begin(), byIssue.end(), 0u);
-    std::sort(byIssue.begin(), byIssue.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  const DdgInst &ia = trace.insts[a];
-                  const DdgInst &ib = trace.insts[b];
-                  if (ia.issuedAt != ib.issuedAt)
-                      return ia.issuedAt < ib.issuedAt;
-                  return ia.seq < ib.seq;
-              });
     issueOrder_.resize(N);
     issueRankOfInst_.resize(N);
     for (std::uint32_t r = 0; r < N; ++r) {
         issueOrder_[r] = pos[issueSlot(byIssue[r])];
         issueRankOfInst_[byIssue[r]] = r;
     }
-
-    // seq -> instruction index (RAW producer lookup).
-    std::vector<std::uint32_t> bySeq(N);
-    std::iota(bySeq.begin(), bySeq.end(), 0u);
-    std::sort(bySeq.begin(), bySeq.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return trace.insts[a].seq < trace.insts[b].seq;
-              });
-    auto findBySeq = [&](Tag seq) -> std::int64_t {
-        auto it = std::lower_bound(
-            bySeq.begin(), bySeq.end(), seq,
-            [&](std::uint32_t idx, Tag s) {
-                return trace.insts[idx].seq < s;
-            });
-        if (it == bySeq.end() || trace.insts[*it].seq != seq)
-            return -1;
-        return *it;
-    };
 
     // ---- Edge construction. Every edge is validated against the
     // observed times (soundness: t(src) + w <= t(dst)), and the best
@@ -502,7 +583,7 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
             for (Tag producer_seq : inst.waitSeq) {
                 if (!producer_seq)
                     continue;
-                std::int64_t p = findBySeq(producer_seq);
+                std::int64_t p = instBySeq.find(producer_seq);
                 sdsp_assert(p >= 0,
                             "RAW producer %llu of committed %llu "
                             "missing from the trace",
@@ -679,8 +760,6 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
         for (const Pending &p : pending)
             edges_[cursor[p.dst]++] = p.edge;
     }
-    (void)startTopo;
-    (void)endTopo;
 }
 
 // --------------------------------------------------------------------

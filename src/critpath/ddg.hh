@@ -120,6 +120,13 @@ class DdgRecorder final : public TraceSink
   public:
     void emit(const TraceEvent &event) override;
 
+    TraceKindMask
+    kinds() const override
+    {
+        return traceKindBit(TraceEventKind::CommitInst) |
+               traceKindBit(TraceEventKind::CommitBlock);
+    }
+
     /** The recording so far (blocks close on CommitBlock). */
     const DdgTrace &trace() const { return trace_; }
     DdgTrace takeTrace() { return std::move(trace_); }

@@ -1,11 +1,15 @@
 #include "fuzz/differential.hh"
 
+#include <sstream>
 #include <vector>
 
 #include "analysis/cfg.hh"
 #include "analysis/lint.hh"
 #include "common/logging.hh"
+#include "critpath/ddg.hh"
 #include "isa/interpreter.hh"
+#include "trace_frontend/replay.hh"
+#include "trace_frontend/trace_format.hh"
 
 namespace sdsp
 {
@@ -51,7 +55,8 @@ runDifferential(const Program &program, const MachineConfig &config,
     Cfg cfg = Cfg::build(program);
 
     // ---- Reference interpreter, tracking the PCs it visits ----
-    Interpreter interp(program, config.numThreads);
+    Interpreter interp(program, config.numThreads,
+                       config.regsPerThread());
     std::vector<std::uint8_t> visited(program.code.size(), 0);
     std::uint64_t steps = 0;
     while (!interp.finished() && steps < limits.maxInterpSteps) {
@@ -89,12 +94,21 @@ runDifferential(const Program &program, const MachineConfig &config,
         }
     }
 
-    // ---- Pipeline run ----
+    // ---- Pipeline run, recorded for the timing-model oracles ----
     MachineConfig run_config = config;
     run_config.maxCycles = limits.maxCycles;
     Processor cpu(run_config, program);
+    DdgRecorder ddg;
+    std::ostringstream trace_text;
+    TraceRecorder recorder(trace_text, program, run_config, "fuzz");
+    TeeTraceSink tee;
+    tee.add(&ddg);
+    tee.add(&recorder);
+    cpu.setTraceSink(&tee);
     DiffResult result;
     result.sim = cpu.run();
+    recorder.noteResult(result.sim);
+    tee.finish();
     if (!result.sim.finished) {
         DiffResult fail = failure(
             "sim-timeout", format("pipeline exceeded %llu cycles",
@@ -176,6 +190,36 @@ runDifferential(const Program &program, const MachineConfig &config,
                    result.sim.ipc(), result.ipcBound));
         fail.sim = result.sim;
         fail.ipcBound = result.ipcBound;
+        return fail;
+    }
+
+    // ---- Timing models recorded from the same run ----
+    DdgGraph graph(ddg.trace(), run_config, result.sim.cycles);
+    std::string inexact = graph.verifyExact();
+    if (!inexact.empty()) {
+        DiffResult fail = failure("ddg-inexact", inexact);
+        fail.sim = result.sim;
+        return fail;
+    }
+
+    std::istringstream trace_in(std::move(trace_text).str());
+    TraceReadResult read = readTrace(trace_in);
+    if (!read.ok) {
+        DiffResult fail = failure("replay-divergence",
+                                  "recorded trace does not load: " +
+                                      read.error.toString());
+        fail.sim = result.sim;
+        return fail;
+    }
+    ExactReplayResult replay = replayExact(read.trace, run_config);
+    if (!replay.verified || replay.sim.cycles != result.sim.cycles) {
+        DiffResult fail = failure(
+            "replay-divergence",
+            format("replay ran %llu cycles, recording %llu: %s",
+                   static_cast<unsigned long long>(replay.sim.cycles),
+                   static_cast<unsigned long long>(result.sim.cycles),
+                   replay.firstMismatch.c_str()));
+        fail.sim = result.sim;
         return fail;
     }
 

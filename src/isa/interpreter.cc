@@ -6,15 +6,20 @@
 namespace sdsp
 {
 
-Interpreter::Interpreter(const Program &program, unsigned num_threads)
+Interpreter::Interpreter(const Program &program, unsigned num_threads,
+                         unsigned regs_per_thread)
     : prog(program),
       numThreads(num_threads),
-      regsPerThread(kNumArchRegs / (num_threads ? num_threads : 1)),
-      regs(kNumArchRegs, 0),
+      regsPerThread(regs_per_thread
+                        ? regs_per_thread
+                        : kNumArchRegs / (num_threads ? num_threads : 1)),
+      regs(static_cast<std::size_t>(num_threads) * regsPerThread, 0),
       threads(num_threads)
 {
     sdsp_assert(num_threads >= 1 && num_threads <= kNumArchRegs,
                 "bad thread count %u", num_threads);
+    sdsp_assert(regsPerThread >= 1 && regsPerThread <= kNumArchRegs,
+                "bad register partition %u", regsPerThread);
     mem.assign(prog.memorySize, 0);
     sdsp_assert(prog.data.size() <= mem.size(),
                 "program data larger than its declared memory size");

@@ -31,10 +31,15 @@ class Interpreter
   public:
     /**
      * @param program    The program image (copied).
-     * @param num_threads Resident threads; the 128 architectural
-     *                    registers are partitioned equally among them.
+     * @param num_threads Resident threads.
+     * @param regs_per_thread Registers in each thread's static
+     *                    partition; 0 splits the 128 architectural
+     *                    registers equally. Pass
+     *                    MachineConfig::regsPerThread() to match a
+     *                    machine's partition.
      */
-    Interpreter(const Program &program, unsigned num_threads);
+    Interpreter(const Program &program, unsigned num_threads,
+                unsigned regs_per_thread = 0);
 
     /**
      * Run until every thread has executed HALT.
@@ -92,7 +97,8 @@ class Interpreter
     /** Total instructions executed by all threads. */
     std::uint64_t totalInstructionCount() const;
 
-    /** Registers each thread may name (128 / numThreads). */
+    /** Registers each thread may name (by default
+     *  128 / numThreads). */
     unsigned registersPerThread() const { return regsPerThread; }
 
     /**

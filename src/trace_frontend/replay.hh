@@ -51,6 +51,12 @@ class ReplayVerifySink final : public TraceSink
 
     void emit(const TraceEvent &event) override;
 
+    TraceKindMask
+    kinds() const override
+    {
+        return traceKindBit(TraceEventKind::CommitInst);
+    }
+
     /** No mismatching instruction committed so far. */
     bool ok() const { return mismatches_ == 0; }
 

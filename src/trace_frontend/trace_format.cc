@@ -1,9 +1,12 @@
 #include "trace_frontend/trace_format.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "common/json.hh"
 #include "common/json_reader.hh"
@@ -20,6 +23,15 @@ namespace
 constexpr std::size_t kCodeChunk = 32;
 /** Bytes per "data" record line. */
 constexpr std::size_t kDataChunk = 64;
+
+/** Copy the literal @p text to @p at; returns the end of the copy. */
+template <std::size_t N>
+char *
+putLiteral(char *at, const char (&text)[N])
+{
+    std::memcpy(at, text, N - 1);
+    return at + (N - 1);
+}
 
 } // namespace
 
@@ -155,19 +167,29 @@ TraceRecorder::emit(const TraceEvent &event)
     if (event.kind != TraceEventKind::CommitInst)
         return;
 
-    JsonWriter w;
-    w.beginObject()
-        .field("kind", "inst")
-        .field("tid", unsigned{event.tid})
-        .field("pc", std::uint64_t{event.pc})
-        .field("word", std::uint64_t{event.word});
-    if (event.hasMemAddr)
-        w.field("addr", event.memAddr);
-    // The word came from Instruction::encode, so decode cannot fail.
-    if (Instruction::decode(event.word).isCondBranch())
-        w.field("taken", event.taken);
-    w.endObject();
-    out_ << w.str() << "\n";
+    // The same bytes JsonWriter would produce for the record, built
+    // in place: this runs once per committed instruction.
+    char *const end = line_.data() + line_.size();
+    char *at = putLiteral(line_.data(), "{\"kind\":\"inst\",\"tid\":");
+    at = std::to_chars(at, end, unsigned{event.tid}).ptr;
+    at = putLiteral(at, ",\"pc\":");
+    at = std::to_chars(at, end, event.pc).ptr;
+    at = putLiteral(at, ",\"word\":");
+    at = std::to_chars(at, end, event.word).ptr;
+    if (event.hasMemAddr) {
+        at = putLiteral(at, ",\"addr\":");
+        at = std::to_chars(at, end, event.memAddr).ptr;
+    }
+    // Conditional branches carry their outcome; the opcode table says
+    // which words are (an undefined opcode byte is not one).
+    const auto opcode = static_cast<std::uint8_t>(event.word >> (32 - 8));
+    if (isValidOpcode(opcode) &&
+        (kOpInfoTable[opcode].flags & kIsCondBr)) {
+        at = event.taken ? putLiteral(at, ",\"taken\":true")
+                         : putLiteral(at, ",\"taken\":false");
+    }
+    at = putLiteral(at, "}\n");
+    out_.write(line_.data(), at - line_.data());
 
     if (event.tid < perThreadCommitted_.size())
         ++perThreadCommitted_[event.tid];
@@ -367,7 +389,9 @@ handleData(ReadState &state, const JsonValue &record, unsigned line)
         return state.fail(TraceErrorKind::BadValue, line,
                           "\"bytes\" is not an array");
     }
-    if (base + bytes->items().size() > trace.memorySize) {
+    // Written so that a huge base cannot wrap the sum past the check.
+    if (base > trace.memorySize ||
+        bytes->items().size() > trace.memorySize - base) {
         return state.fail(TraceErrorKind::BadValue, line,
                           "data record runs past the memory size");
     }
@@ -449,6 +473,97 @@ handleInst(ReadState &state, const JsonValue &record, unsigned line)
     return true;
 }
 
+/** A cursor over one line for the inst fast path. */
+struct LineCursor
+{
+    const char *at;
+    const char *end;
+
+    /** Consume @p text if the line continues with it. */
+    bool
+    literal(std::string_view text)
+    {
+        if (static_cast<std::size_t>(end - at) < text.size() ||
+            std::memcmp(at, text.data(), text.size()) != 0) {
+            return false;
+        }
+        at += text.size();
+        return true;
+    }
+
+    /** Consume an unsigned integer in JSON's grammar (no sign,
+     *  fraction, exponent or leading zero) that fits 64 bits. A
+     *  leading zero parses as the number 0, and the digits after it
+     *  then fail the next literal(). */
+    bool
+    number(std::uint64_t &out)
+    {
+        if (at == end || *at < '0' || *at > '9')
+            return false;
+        if (*at == '0') {
+            out = 0;
+            ++at;
+            return true;
+        }
+        auto [ptr, ec] = std::from_chars(at, end, out);
+        at = ptr;
+        return ec == std::errc();
+    }
+};
+
+/**
+ * The fast path for `inst` lines: parses exactly the layout
+ * TraceRecorder writes and applies handleInst's checks. It returns
+ * false, leaving the trace untouched, on any other byte sequence and
+ * on any value handleInst would reject; the caller then hands the
+ * line to the generic parser, which reports the same error (kind,
+ * line and message) it always did.
+ */
+bool
+fastInst(ReadState &state, std::string_view line)
+{
+    LineCursor cur{line.data(), line.data() + line.size()};
+    std::uint64_t tid = 0;
+    std::uint64_t pc = 0;
+    std::uint64_t word = 0;
+    std::uint64_t addr = 0;
+    if (!cur.literal("{\"kind\":\"inst\",\"tid\":") ||
+        !cur.number(tid) || !cur.literal(",\"pc\":") ||
+        !cur.number(pc) || !cur.literal(",\"word\":") ||
+        !cur.number(word)) {
+        return false;
+    }
+    TraceInst inst;
+    if (cur.literal(",\"addr\":")) {
+        if (!cur.number(addr))
+            return false;
+        inst.hasAddr = true;
+    }
+    if (cur.literal(",\"taken\":")) {
+        if (cur.literal("true"))
+            inst.taken = true;
+        else if (!cur.literal("false"))
+            return false;
+        inst.hasTaken = true;
+    }
+    if (!cur.literal("}") || cur.at != cur.end)
+        return false;
+
+    RecordedTrace &trace = state.result.trace;
+    if (tid >= trace.threads || pc > ~InstAddr{0} ||
+        pc >= trace.code.size() || word > ~InstWord{0} ||
+        !isValidOpcode(static_cast<std::uint8_t>(word >> (32 - 8))) ||
+        addr > ~Addr{0}) {
+        return false;
+    }
+    inst.tid = static_cast<ThreadId>(tid);
+    inst.pc = static_cast<InstAddr>(pc);
+    inst.word = static_cast<InstWord>(word);
+    inst.addr = static_cast<Addr>(addr);
+    trace.perThread[inst.tid].push_back(inst);
+    return true;
+}
+
 bool
 handleEnd(ReadState &state, const JsonValue &record, unsigned line)
 {
@@ -503,31 +618,42 @@ readTrace(std::istream &in)
 {
     ReadState state;
 
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line))
-        lines.push_back(line);
-
-    // Trailing blank lines are tolerated (but blank lines inside the
-    // document are not — the recorder never writes them).
-    while (!lines.empty() &&
-           lines.back().find_first_not_of(" \t\r") ==
-               std::string::npos) {
-        lines.pop_back();
+    // One pass over the stream into one buffer; lines are views of it.
+    std::string text;
+    {
+        char chunk[1 << 16];
+        while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+            text.append(chunk, static_cast<std::size_t>(in.gcount()));
     }
 
-    if (lines.empty()) {
+    // Trailing blank lines are tolerated (but blank lines inside the
+    // document are not — the recorder never writes them). The
+    // document ends with the line that holds its last non-blank byte.
+    const std::size_t last = text.find_last_not_of(" \t\r\n");
+    if (last == std::string::npos) {
         state.fail(TraceErrorKind::EmptyTrace, 0,
                    "trace contains no records");
         return state.result;
     }
+    const std::string_view document(
+        text.data(), std::min(text.find('\n', last), text.size()));
 
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        auto line_no = static_cast<unsigned>(i + 1);
-        bool is_final = i + 1 == lines.size();
+    unsigned line_no = 0;
+    for (std::size_t begin = 0; begin <= document.size();) {
+        std::size_t newline = document.find('\n', begin);
+        bool is_final = newline == std::string_view::npos;
+        if (is_final)
+            newline = document.size();
+        std::string_view line =
+            document.substr(begin, newline - begin);
+        begin = newline + 1;
+        ++line_no;
+
+        if (state.sawHeader && !state.sawEnd && fastInst(state, line))
+            continue;
 
         std::string json_error;
-        auto record = parseJson(lines[i], &json_error);
+        auto record = parseJson(line, &json_error);
         if (!record) {
             // A torn final line is the signature of an interrupted
             // recording; earlier lines failing to parse is corruption.
@@ -588,8 +714,7 @@ readTrace(std::istream &in)
     }
 
     if (!state.sawEnd) {
-        state.fail(TraceErrorKind::MissingEnd,
-                   static_cast<unsigned>(lines.size()),
+        state.fail(TraceErrorKind::MissingEnd, line_no,
                    "trace does not finish with an end record");
         return state.result;
     }

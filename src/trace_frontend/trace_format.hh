@@ -28,11 +28,22 @@
  *
  * The reader never crashes on malformed input: every failure mode is
  * a named TraceErrorKind with the 1-based line it was detected on.
+ *
+ * Reading cost: readTrace reads the stream once into one buffer and
+ * walks its lines in place. A fast path parses exactly the `inst`
+ * layout TraceRecorder writes, `{"kind":"inst","tid":N,"pc":N,
+ * "word":N[,"addr":N][,"taken":true|false]}`, with the generic
+ * reader's checks. Any other line, and any line the fast path would
+ * reject, goes to the generic JSON parser, so error kinds, lines and
+ * messages do not depend on the fast path. There is no switch to
+ * turn it off: test_trace_frontend compares it against the generic
+ * path on mutated traces.
  */
 
 #ifndef SDSP_TRACE_FRONTEND_TRACE_FORMAT_HH
 #define SDSP_TRACE_FRONTEND_TRACE_FORMAT_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -146,7 +157,10 @@ TraceReadResult readTraceFile(const std::string &path);
  * SimResult, then finish() to write the end record.
  *
  * The program image and machine description are written up front, so
- * even a truncated recording carries a replayable prefix.
+ * even a truncated recording carries a replayable prefix. Each `inst`
+ * line is formatted into a buffer the recorder owns and written with
+ * one ostream::write, so recording allocates nothing per instruction
+ * beyond what the stream itself does.
  */
 class TraceRecorder final : public TraceSink
 {
@@ -157,6 +171,12 @@ class TraceRecorder final : public TraceSink
 
     void emit(const TraceEvent &event) override;
 
+    TraceKindMask
+    kinds() const override
+    {
+        return traceKindBit(TraceEventKind::CommitInst);
+    }
+
     /** Record the run's final cycle/instruction totals (before
      *  finish()); otherwise the end record reports observed
      *  totals. */
@@ -166,6 +186,9 @@ class TraceRecorder final : public TraceSink
 
   private:
     std::ostream &out_;
+    /** One `inst` line; the longest, with every field at its
+     *  maximum, is 102 bytes. */
+    std::array<char, 128> line_;
     unsigned threads_;
     std::vector<std::uint64_t> perThreadCommitted_;
     Cycle lastCycle_ = 0;

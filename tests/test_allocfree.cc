@@ -5,7 +5,9 @@
  * the pooled SU block storage, the reused fetch latch, the scratch
  * vectors and the pre-reserved index structures — a regression in any
  * of them shows up here as a nonzero count, long before it shows up
- * as a throughput loss in perfbench's `grid` workload.
+ * as a throughput loss in perfbench's `grid` workload. The same holds
+ * with a TraceRecorder attached (writing into a stream that discards
+ * its bytes): recording formats each line in place.
  *
  * The global operator new of this binary counts allocations while a
  * flag is set; the flag is only set around the measured cycle loop.
@@ -13,11 +15,14 @@
 
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <streambuf>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/processor.hh"
+#include "trace_frontend/trace_format.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -91,14 +96,38 @@ namespace sdsp
 namespace
 {
 
+/** A stream buffer that accepts and drops every byte. */
+class DiscardBuf final : public std::streambuf
+{
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        return traits_type::not_eof(ch);
+    }
+
+    std::streamsize
+    xsputn(const char *, std::streamsize count) override
+    {
+        return count;
+    }
+};
+
 void
-expectAllocFree(const Workload &workload, unsigned threads)
+expectAllocFree(const Workload &workload, unsigned threads,
+                bool record = false)
 {
     WorkloadImage image = workload.build(threads, /*scale=*/50);
     MachineConfig cfg;
     cfg.numThreads = threads;
 
     Processor cpu(cfg, image.program);
+    DiscardBuf discard;
+    std::ostream trace_out(&discard);
+    TraceRecorder recorder(trace_out, image.program, cfg,
+                           workload.name());
+    if (record)
+        cpu.setTraceSink(&recorder);
 
     // Warm up: fill the SU block pool, grow the scratch vectors to
     // their high-water marks, take the first mispredict squashes.
@@ -124,6 +153,11 @@ TEST(AllocFree, GroupOneWorkloadSteadyState)
 {
     // LL7: loads, stores, branches — every pipeline path.
     expectAllocFree(*allWorkloads().front(), 4);
+}
+
+TEST(AllocFree, TraceRecorderSteadyState)
+{
+    expectAllocFree(workloadByName("LL1"), 4, /*record=*/true);
 }
 
 TEST(AllocFree, GroupTwoWorkloadSteadyState)

@@ -2,10 +2,12 @@
  * @file
  * Tests for the fuzzing subsystem: generator determinism and
  * validity, the differential checker's oracles (including contained
- * architectural faults), the minimizer, and the `.s` repro emitter's
- * assemble round trip.
+ * architectural faults and the machine's register partition), a
+ * whole sdsp-fuzz campaign, the minimizer, and the `.s` repro
+ * emitter's assemble round trip.
  */
 
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "fuzz/minimize.hh"
 #include "isa/interpreter.hh"
 #include "isa/opcode.hh"
+#include "tools/fuzz_cli.hh"
 
 namespace sdsp
 {
@@ -99,6 +102,35 @@ TEST(FuzzDifferential, ArchFaultIsContained)
     EXPECT_TRUE(interp.anyFaulted());
     EXPECT_TRUE(interp.faulted(0));
     EXPECT_NE(interp.faultMessage().find("load"), std::string::npos);
+}
+
+TEST(FuzzDifferential, InterpreterUsesTheMachinePartition)
+{
+    // finalize() gives each of 8 threads 32 registers; the interpreter
+    // must partition the same way, or a program naming r16+ aborts it.
+    MachineConfig cfg = fuzzConfig(8);
+    cfg.finalize();
+    ASSERT_EQ(cfg.regsPerThread(), 32u);
+    ProgramBuilder b;
+    b.ldi(20, 7);
+    b.halt();
+    DiffResult result = runDifferential(b.finish(), cfg);
+    EXPECT_TRUE(result.ok) << result.kind << " (" << result.detail << ")";
+}
+
+TEST(FuzzCli, CampaignOverEveryMachineShapePasses)
+{
+    // The first 12 cases of seed 1 already draw all eight machine
+    // shapes of the CLI's grid (finalized configs) and all five
+    // program shapes.
+    FuzzCliOptions options;
+    options.seed = 1;
+    options.count = 48;
+    std::ostringstream out;
+    EXPECT_EQ(runFuzzCli(options, out), 0) << out.str();
+    EXPECT_NE(out.str().find("ran 48 case(s): 0 failure(s)"),
+              std::string::npos)
+        << out.str();
 }
 
 TEST(FuzzMinimize, ShrinksWhilePreservingKind)

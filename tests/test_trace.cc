@@ -154,6 +154,27 @@ class RecordingSink final : public TraceSink
     std::vector<TraceEvent> events;
 };
 
+/** Records whatever it receives and declares @p mask as its kinds,
+ *  so a delivered event outside the mask shows up in `events`. */
+class MaskedSink final : public TraceSink
+{
+  public:
+    explicit MaskedSink(TraceKindMask mask) : mask_(mask) {}
+
+    void
+    emit(const TraceEvent &event) override
+    {
+        events.push_back(event);
+    }
+
+    TraceKindMask kinds() const override { return mask_; }
+
+    std::vector<TraceEvent> events;
+
+  private:
+    TraceKindMask mask_;
+};
+
 /** A two-thread loop with stores: exercises fetch, dispatch, issue,
  *  writeback, commit, squash (loop branch mispredicts), and the
  *  cache. */
@@ -274,7 +295,91 @@ TEST(TeeSink, ForwardsToEverySinkInOrder)
     EXPECT_EQ(b.events[0].seq, 42u);
 }
 
+TEST(TeeSink, ForwardsOnlyTheKindsEachSinkWants)
+{
+    RecordingSink all;
+    MaskedSink commits(traceKindBit(TraceEventKind::CommitInst));
+    TeeTraceSink tee;
+    tee.add(&all);
+    tee.add(&commits);
+
+    for (unsigned k = 0; k < kNumTraceEventKinds; ++k)
+        tee.emit(makeEvent(static_cast<TraceEventKind>(k)));
+
+    EXPECT_EQ(all.events.size(), kNumTraceEventKinds);
+    ASSERT_EQ(commits.events.size(), 1u);
+    EXPECT_EQ(commits.events[0].kind, TraceEventKind::CommitInst);
+}
+
+TEST(TeeSink, KindsAreTheUnionOfItsSinks)
+{
+    std::ostringstream out;
+    TextTraceSink text(out);
+    MaskedSink commits(traceKindBit(TraceEventKind::CommitInst));
+    TeeTraceSink tee;
+    EXPECT_EQ(tee.kinds(), 0u);
+    tee.add(&text);
+    tee.add(&commits);
+    EXPECT_EQ(tee.kinds(),
+              traceKindBit(TraceEventKind::Fetch) |
+                  traceKindBit(TraceEventKind::CommitHalt) |
+                  traceKindBit(TraceEventKind::CommitBlock) |
+                  traceKindBit(TraceEventKind::Squash) |
+                  traceKindBit(TraceEventKind::CommitInst));
+    EXPECT_EQ(RecordingSink().kinds(), kAllTraceKinds);
+}
+
 // ---- Pipeline event stream ----
+
+TEST(PipelineEvents, OnlyWantedKindsAreEmitted)
+{
+    Program prog = loopProgram();
+    MachineConfig cfg = traceConfig(2);
+
+    RecordingSink all;
+    {
+        Processor cpu(cfg, prog);
+        cpu.setTraceSink(&all);
+        ASSERT_TRUE(cpu.run().finished);
+    }
+
+    // Each mask gets exactly its kinds' events, identical to the
+    // all-kinds stream: skipping the other kinds (and, without Stall
+    // or Counter, their bookkeeping) changes nothing it receives.
+    const TraceKindMask masks[] = {
+        traceKindBit(TraceEventKind::CommitInst) |
+            traceKindBit(TraceEventKind::CommitBlock),
+        traceKindBit(TraceEventKind::Stall),
+        traceKindBit(TraceEventKind::Counter) |
+            traceKindBit(TraceEventKind::Squash),
+        0,
+    };
+    for (TraceKindMask mask : masks) {
+        MaskedSink masked(mask);
+        Processor cpu(cfg, prog);
+        cpu.setTraceSink(&masked);
+        ASSERT_TRUE(cpu.run().finished);
+
+        std::vector<const TraceEvent *> expected;
+        for (const TraceEvent &ev : all.events) {
+            if (mask & traceKindBit(ev.kind))
+                expected.push_back(&ev);
+        }
+        ASSERT_EQ(masked.events.size(), expected.size())
+            << "mask " << mask;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            const TraceEvent &want = *expected[i];
+            const TraceEvent &got = masked.events[i];
+            EXPECT_EQ(got.kind, want.kind);
+            EXPECT_EQ(got.cycle, want.cycle);
+            EXPECT_EQ(got.tid, want.tid);
+            EXPECT_EQ(got.seq, want.seq);
+            EXPECT_EQ(got.pc, want.pc);
+            EXPECT_EQ(got.args, want.args);
+            EXPECT_EQ(got.fval, want.fval);
+        }
+    }
+}
 
 TEST(PipelineEvents, OrderedAndLifecycleConsistent)
 {
