@@ -27,6 +27,15 @@ failure(std::string kind, std::string detail)
     return result;
 }
 
+Cycle
+breakdownSum(const RelaxResult &result)
+{
+    Cycle sum = 0;
+    for (Cycle cycles : result.breakdown)
+        sum += cycles;
+    return sum;
+}
+
 } // namespace
 
 DiffResult
@@ -196,10 +205,60 @@ runDifferential(const Program &program, const MachineConfig &config,
     // ---- Timing models recorded from the same run ----
     DdgGraph graph(ddg.trace(), run_config, result.sim.cycles);
     std::string inexact = graph.verifyExact();
+    if (inexact.empty()) {
+        RelaxResult baseline = graph.relax(WhatIf{});
+        if (baseline.cycles != result.sim.cycles ||
+            breakdownSum(baseline) != baseline.cycles) {
+            inexact = format(
+                "baseline relax: %llu cycles, breakdown %llu, "
+                "measured %llu",
+                static_cast<unsigned long long>(baseline.cycles),
+                static_cast<unsigned long long>(breakdownSum(baseline)),
+                static_cast<unsigned long long>(result.sim.cycles));
+        }
+    }
     if (!inexact.empty()) {
         DiffResult fail = failure("ddg-inexact", inexact);
         fail.sim = result.sim;
         return fail;
+    }
+
+    // What-ifs derived from the case's machine: a pure capacity
+    // increase (which may only shorten the run), a re-weighting and a
+    // capacity decrease. Every breakdown must sum to its cycles.
+    WhatIf increase;
+    increase.issueWidth = 2 * run_config.issueWidth;
+    increase.suEntries = 2 * run_config.suEntries;
+    increase.infiniteStoreBuffer = true;
+    WhatIf reweight;
+    reweight.bypassing = run_config.bypassing ? 0 : 1;
+    reweight.perfectDCache = true;
+    reweight.fuLatency[static_cast<unsigned>(FuClass::Load)] = 1;
+    WhatIf decrease;
+    decrease.suEntries = run_config.blockSize;
+    for (const WhatIf *what_if : {&increase, &reweight, &decrease}) {
+        RelaxResult projected = graph.relax(*what_if);
+        std::string why;
+        if (breakdownSum(projected) != projected.cycles) {
+            why = format("breakdown sums to %llu",
+                         static_cast<unsigned long long>(
+                             breakdownSum(projected)));
+        } else if (what_if == &increase &&
+                   projected.cycles > result.sim.cycles) {
+            why = format("above the measured %llu",
+                         static_cast<unsigned long long>(
+                             result.sim.cycles));
+        }
+        if (!why.empty()) {
+            DiffResult fail = failure(
+                "projection-unsound",
+                format("%s projects %llu cycles: %s",
+                       what_if->describe(run_config).c_str(),
+                       static_cast<unsigned long long>(projected.cycles),
+                       why.c_str()));
+            fail.sim = result.sim;
+            return fail;
+        }
     }
 
     std::istringstream trace_in(std::move(trace_text).str());

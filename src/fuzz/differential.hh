@@ -1,6 +1,6 @@
 /**
  * @file
- * The differential checker: one generated program, five oracles.
+ * The differential checker: one generated program, six oracles.
  *
  * A program is run through the reference interpreter and the
  * cycle-level pipeline, and analyzed with sdsp-lint; the pipeline run
@@ -16,8 +16,16 @@
  *  3. the interpreter never executes an instruction the analyzer's
  *     CFG proved unreachable;
  *  4. the dependence graph built from the recording reproduces every
- *     observed event time (DdgGraph::verifyExact());
- *  5. the recorded trace loads (readTrace) and replays exactly
+ *     observed event time (DdgGraph::verifyExact()), and its baseline
+ *     relax() equals the measured cycles with a breakdown that sums
+ *     to them;
+ *  5. three projections of that graph derived from the machine — a
+ *     pure capacity increase (2x issue width, 2x SU entries, infinite
+ *     store buffer), a re-weighting (bypassing flipped, perfect
+ *     D-cache, load latency 1) and a decrease (an SU of one block) —
+ *     each have a breakdown that sums to their cycles, and the
+ *     increase projects no more than the measured cycles;
+ *  6. the recorded trace loads (readTrace) and replays exactly
  *     (replayExact) in the recorded number of cycles;
  *
  * and nothing times out and the lint report carries no errors
@@ -58,9 +66,10 @@ struct DiffResult
      * Stable failure kind: "lint-error", "arch-fault",
      * "interp-timeout", "unreachable-pc", "sim-timeout",
      * "reg-mismatch", "mem-mismatch", "count-mismatch",
-     * "ipc-bound-violation", "ddg-inexact", "replay-divergence" (a
-     * recorded trace that does not load is a replay divergence; the
-     * detail carries the reader's error). Empty when ok.
+     * "ipc-bound-violation", "ddg-inexact", "projection-unsound",
+     * "replay-divergence" (a recorded trace that does not load is a
+     * replay divergence; the detail carries the reader's error).
+     * Empty when ok.
      */
     std::string kind;
     std::string detail;

@@ -1,6 +1,7 @@
 #include "tools/explore_cli.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -69,9 +70,14 @@ parseAxisSpec(const std::string &spec, LatticeAxis *axis,
     axis->values.clear();
     for (const std::string &item : splitCommas(spec.substr(eq + 1))) {
         char *end = nullptr;
+        errno = 0;
         long value = std::strtol(item.c_str(), &end, 10);
         if (end != item.c_str() + item.size()) {
             *error = "axis value '" + item + "' is not an integer";
+            return false;
+        }
+        if (errno == ERANGE) {
+            *error = "axis value '" + item + "' is out of range";
             return false;
         }
         WhatIf probe;

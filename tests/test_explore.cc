@@ -362,6 +362,17 @@ TEST(ExploreCli, ParsesAndRejects)
     EXPECT_FALSE(parseExploreCliOptions({"--axis", "suEntries"}).ok);
     EXPECT_FALSE(
         parseExploreCliOptions({"--axis", "noSuchKey=1,2"}).ok);
+    // Values that do not fit: past the field (2^32 would wrap to the
+    // baseline width) and past long (strtol would clamp them).
+    EXPECT_FALSE(parseExploreCliOptions(
+                     {"--axis", "issueWidth=8,4294967296"})
+                     .ok);
+    EXPECT_FALSE(parseExploreCliOptions(
+                     {"--axis", "perfectDCache=0,99999999999999999999"})
+                     .ok);
+    EXPECT_FALSE(parseExploreCliOptions(
+                     {"--axis", "bypassing=-99999999999999999999,1"})
+                     .ok);
     // More than 12 recordings is refused up front.
     std::vector<std::string> many =
         {"--workloads",
