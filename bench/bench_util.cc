@@ -1,6 +1,7 @@
 #include "bench_util.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,10 +24,8 @@ benchScale()
     const char *env = std::getenv("SDSP_BENCH_SCALE");
     if (!env)
         return 100;
-    int value = std::atoi(env);
-    if (value < 1 || value > 1000)
-        fatal("SDSP_BENCH_SCALE out of range: %s", env);
-    return static_cast<unsigned>(value);
+    return static_cast<unsigned>(
+        parseIntOption("SDSP_BENCH_SCALE", env, 1, 1000));
 }
 
 unsigned
@@ -67,7 +66,7 @@ std::string g_experiment_slug;
 
 void
 printHeader(const std::string &experiment_id, const std::string &title,
-            const std::string &paper_expectation)
+            const std::string &paper_expectation, unsigned scale)
 {
     g_experiment_slug.clear();
     for (char ch : experiment_id) {
@@ -80,7 +79,7 @@ printHeader(const std::string &experiment_id, const std::string &title,
                 "=============\n");
     std::printf("%s: %s\n", experiment_id.c_str(), title.c_str());
     std::printf("paper expectation: %s\n", paper_expectation.c_str());
-    std::printf("problem scale: %u%%\n", benchScale());
+    std::printf("problem scale: %u%%\n", scale);
     std::printf("================================================="
                 "=============\n");
 }
@@ -135,37 +134,11 @@ cachedWorkload(const Workload &workload)
     return *slot;
 }
 
-RunResult
-runChecked(const Workload &workload, const MachineConfig &config)
-{
-    RunResult result =
-        runWorkload(cachedWorkload(workload), config, benchScale());
-    requireGood(result);
-    return result;
-}
-
-namespace
-{
-
-/** $name if set and non-empty, with the directory created. */
-const char *
-exportDir(const char *name)
-{
-    const char *dir = std::getenv(name);
-    if (!dir || !*dir)
-        return nullptr;
-    if (!ensureOutputDir(dir))
-        return nullptr;
-    return dir;
-}
-
-} // namespace
-
 void
 exportCsv(const Table &table, const std::string &suffix)
 {
-    const char *dir = exportDir("SDSP_BENCH_CSV");
-    if (!dir)
+    const char *dir = std::getenv("SDSP_BENCH_CSV");
+    if (!dir || !*dir || !ensureOutputDir(dir))
         return;
     std::string path = std::string(dir) + "/" + g_experiment_slug +
                        suffix + ".csv";
@@ -176,99 +149,6 @@ exportCsv(const Table &table, const std::string &suffix)
     }
     file << table.toCsv();
     std::printf("(csv written to %s)\n", path.c_str());
-}
-
-void
-exportRunsJson(const std::vector<Variant> &variants,
-               const std::vector<std::vector<RunResult>> &grid,
-               const std::string &suffix)
-{
-    const char *dir = exportDir("SDSP_BENCH_JSON");
-    if (!dir)
-        return;
-    std::string path = std::string(dir) + "/" + g_experiment_slug +
-                       suffix + ".json";
-
-    JsonWriter writer;
-    writer.beginObject();
-    writer.field("experiment", g_experiment_slug);
-    writer.field("scale", benchScale());
-    writer.key("runs").beginArray();
-    for (const std::vector<RunResult> &row : grid) {
-        for (std::size_t v = 0; v < row.size(); ++v) {
-            writer.beginObject();
-            writer.field("variant", variants[v].name);
-            writer.key("result");
-            appendJson(writer, row[v], /*include_stats=*/false);
-            writer.endObject();
-        }
-    }
-    writer.endArray();
-    writer.endObject();
-
-    std::ofstream file(path);
-    if (!file) {
-        warn("cannot write %s", path.c_str());
-        return;
-    }
-    file << writer.str() << '\n';
-    std::printf("(json written to %s)\n", path.c_str());
-}
-
-std::vector<std::vector<RunResult>>
-runGrid(const std::vector<const Workload *> &workloads,
-        const std::vector<Variant> &variants)
-{
-    SweepRunner runner;
-    for (const Workload *workload : workloads) {
-        for (const Variant &variant : variants)
-            runner.add(cachedWorkload(*workload), variant.config,
-                       benchScale(), variant.name);
-    }
-    std::vector<JobOutcome> outcomes = runner.runAll();
-
-    // Report every bad point before dying, not just the first: a
-    // broken variant usually breaks many benchmarks at once and the
-    // full list is what identifies it.
-    std::size_t failures = 0;
-    for (const JobOutcome &outcome : outcomes) {
-        if (outcome.ok())
-            continue;
-        ++failures;
-        std::fprintf(stderr, "FAIL [%s] %s (%s): %s\n",
-                     jobStatusName(outcome.status),
-                     outcome.result.benchmark.c_str(),
-                     outcome.result.config.toString().c_str(),
-                     outcome.error.c_str());
-    }
-    if (failures) {
-        fatal("%zu of %zu grid points failed", failures,
-              outcomes.size());
-    }
-
-    std::vector<std::vector<RunResult>> grid;
-    grid.reserve(workloads.size());
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        auto first =
-            outcomes.begin() +
-            static_cast<std::ptrdiff_t>(w * variants.size());
-        auto last =
-            first + static_cast<std::ptrdiff_t>(variants.size());
-        std::vector<RunResult> row;
-        row.reserve(variants.size());
-        for (auto it = first; it != last; ++it)
-            row.push_back(std::move(it->result));
-        grid.push_back(std::move(row));
-    }
-    return grid;
-}
-
-std::vector<std::vector<Cycle>>
-printCyclesTable(const std::vector<const Workload *> &workloads,
-                 const std::vector<Variant> &variants)
-{
-    return printCyclesTable(workloads, variants,
-                            runGrid(workloads, variants));
 }
 
 std::vector<std::vector<Cycle>>
@@ -301,7 +181,6 @@ printCyclesTable(const std::vector<const Workload *> &workloads,
         table.cell(sum / static_cast<double>(workloads.size()), 1);
     std::printf("\ncycles:\n%s", table.toAscii().c_str());
     exportCsv(table, "_cycles");
-    exportRunsJson(variants, grid);
     return cycles;
 }
 
@@ -344,119 +223,18 @@ printSpeedupTable(const std::vector<const Workload *> &workloads,
     exportCsv(table, "_speedup");
 }
 
-namespace
+long
+parseIntOption(const char *name, const char *text, long min_value,
+               long max_value)
 {
-
-/** Deduplicating accumulator behind buildPaperGrid(). */
-struct GridBuilder
-{
-    PaperGrid grid;
-    /** (benchmark, configKey) -> index into grid.points. */
-    std::map<std::string, std::size_t> index;
-
-    void
-    add(const Workload &workload, const MachineConfig &config,
-        const std::string &experiment)
-    {
-        ++grid.submitted;
-        std::string key = workload.name() + "\n" + configKey(config);
-        auto [it, inserted] =
-            index.try_emplace(key, grid.points.size());
-        // Route every point through the assembly cache so the static
-        // bounds pass and the sweep share one build per (benchmark,
-        // threads, scale).
-        if (inserted) {
-            grid.points.push_back(
-                {&cachedWorkload(workload), config, {}});
-        }
-        std::vector<std::string> &tags =
-            grid.points[it->second].experiments;
-        if (tags.empty() || tags.back() != experiment)
-            tags.push_back(experiment);
-    }
-
-    void
-    addForGroup(BenchmarkGroup group, const MachineConfig &config,
-                const std::string &experiment)
-    {
-        for (const Workload *workload : workloadsInGroup(group))
-            add(*workload, config, experiment);
-    }
-};
-
-} // namespace
-
-PaperGrid
-buildPaperGrid()
-{
-    GridBuilder builder;
-    const auto groups = {BenchmarkGroup::LivermoreLoops,
-                         BenchmarkGroup::GroupII};
-    auto figureId = [](BenchmarkGroup group, int ll_figure) {
-        return format("fig%02d",
-                      group == BenchmarkGroup::LivermoreLoops
-                          ? ll_figure
-                          : ll_figure + 1);
-    };
-
-    for (BenchmarkGroup group : groups) {
-        // Figures 3/4: fetch policies (plus the base case).
-        std::string fig = figureId(group, 3);
-        builder.addForGroup(group, paperConfig(1), fig);
-        for (FetchPolicy policy : {FetchPolicy::TrueRoundRobin,
-                                   FetchPolicy::MaskedRoundRobin,
-                                   FetchPolicy::ConditionalSwitch}) {
-            MachineConfig cfg = paperConfig(4);
-            cfg.fetchPolicy = policy;
-            builder.addForGroup(group, cfg, fig);
-        }
-
-        // Figures 5/6 + the section 5.2 summary: 1-6 threads.
-        fig = figureId(group, 5);
-        for (unsigned threads = 1; threads <= 6; ++threads)
-            builder.addForGroup(group, paperConfig(threads), fig);
-
-        // Figures 7/8 and Table 3: cache organization x threads.
-        fig = figureId(group, 7);
-        for (unsigned threads = 1; threads <= 6; ++threads) {
-            for (std::uint32_t ways : {1u, 2u}) {
-                MachineConfig cfg = paperConfig(threads);
-                cfg.dcache.ways = ways;
-                builder.addForGroup(group, cfg, fig);
-            }
-        }
-
-        // Figures 9/10: SU depth x {1,4} threads.
-        fig = figureId(group, 9);
-        for (unsigned threads : {1u, 4u}) {
-            for (unsigned entries : {16u, 32u, 48u, 64u}) {
-                MachineConfig cfg = paperConfig(threads);
-                cfg.suEntries = entries;
-                builder.addForGroup(group, cfg, fig);
-            }
-        }
-
-        // Figures 11/12 and Table 4: FU complement x {1,4} threads.
-        fig = figureId(group, 11);
-        for (unsigned threads : {1u, 4u}) {
-            for (bool enhanced : {false, true}) {
-                MachineConfig cfg = paperConfig(threads);
-                if (enhanced)
-                    cfg.fu = FuConfig::sdspEnhanced();
-                builder.addForGroup(group, cfg, fig);
-            }
-        }
-
-        // Figures 13/14: commit policy, 4 threads.
-        fig = figureId(group, 13);
-        for (CommitPolicy policy : {CommitPolicy::FlexibleFourBlocks,
-                                    CommitPolicy::LowestBlockOnly}) {
-            MachineConfig cfg = paperConfig(4);
-            cfg.commitPolicy = policy;
-            builder.addForGroup(group, cfg, fig);
-        }
-    }
-    return std::move(builder.grid);
+    char *end = nullptr;
+    errno = 0;
+    long value = std::strtol(text, &end, 10);
+    if (end == text || *end || errno == ERANGE)
+        fatal("bad %s value: %s", name, text);
+    if (value < min_value || value > max_value)
+        fatal("%s out of range: %s", name, text);
+    return value;
 }
 
 } // namespace bench

@@ -1,21 +1,16 @@
 /**
  * @file
- * Shared infrastructure for the paper-reproduction bench binaries.
+ * Shared infrastructure of the bench drivers: sdsp_bench_all, which
+ * runs the paper's figures, tables and ablations (the registry in
+ * experiments.hh; DESIGN.md section 3 maps them to the paper),
+ * sdsp_bench_critpath and sdsp_bench_explore.
  *
- * Every figure and table from the paper's evaluation section has one
- * binary (see DESIGN.md section 3 for the index). They all print an
- * experiment header (what the paper reports, what shape to expect), a
- * measurement table, and exit non-zero if any run fails verification
- * — so the bench suite doubles as an end-to-end regression test at
- * full problem scale.
- *
- * The problem-size scale (percent) can be overridden with the
- * SDSP_BENCH_SCALE environment variable (default 100), and every
- * printed table is also written as CSV into the directory named by
- * SDSP_BENCH_CSV (if set) for plotting. Grid experiments execute
- * their points concurrently on the sweep engine (SDSP_BENCH_JOBS
- * workers, default hardware_concurrency); setting SDSP_BENCH_JSON to
- * a directory additionally exports every grid's raw runs as JSON.
+ * Each experiment prints a header (what the paper reports, what shape
+ * to expect) and its measurement tables. Every printed table is also
+ * written as CSV into the directory named by SDSP_BENCH_CSV (if set)
+ * for plotting. The problem-size scale (percent) defaults to the
+ * SDSP_BENCH_SCALE environment variable (default 100), and sweeps run
+ * SDSP_BENCH_JOBS workers (default hardware_concurrency).
  */
 
 #ifndef SDSP_BENCH_BENCH_UTIL_HH
@@ -49,10 +44,11 @@ std::vector<const Workload *> groupI();
 /** Group II (Laplace, MPD, Matrix, Sieve, Water). */
 std::vector<const Workload *> groupII();
 
-/** Print the experiment banner (also names any CSV exports). */
+/** Print the experiment banner for problem scale @p scale (also
+ *  names any CSV exports). */
 void printHeader(const std::string &experiment_id,
                  const std::string &title,
-                 const std::string &paper_expectation);
+                 const std::string &paper_expectation, unsigned scale);
 
 /**
  * Write @p table as CSV into $SDSP_BENCH_CSV/<experiment><suffix>.csv
@@ -72,10 +68,6 @@ void exportCsv(const Table &table, const std::string &suffix = "");
  * workers that hit the same benchmark concurrently assemble it once.
  */
 const Workload &cachedWorkload(const Workload &workload);
-
-/** Run one benchmark, fatal unless it finishes and verifies. */
-RunResult runChecked(const Workload &workload,
-                     const MachineConfig &config);
 
 /** A named machine configuration (one table column). */
 struct Variant
@@ -101,51 +93,24 @@ struct PaperGrid
 };
 
 /**
- * Enumerate every grid point of the paper's figure/table suite
- * (fetch policies, thread counts, cache organizations, SU depths,
- * functional-unit complements, commit policies — figures 3-14 and
- * tables 3/5.2), deduplicated across experiments. Workloads are
- * routed through cachedWorkload() so all consumers share one
- * assembly per (benchmark, threads, scale). This is the single
- * definition of "the paper grid": sdsp_bench_all executes it and
- * sdsp_bench_critpath verifies the critical-path engine against it.
+ * Enumerate every grid point of the paper's figures 3-14 (fetch
+ * policies, thread counts, cache organizations, SU depths,
+ * functional-unit complements, commit policies): the points of the
+ * registry's figure entries (experiments.hh), deduplicated across
+ * experiments. Workloads are routed through cachedWorkload() so all
+ * consumers share one assembly per (benchmark, threads, scale). This
+ * is the single definition of "the paper grid": sdsp_bench_all
+ * executes it and sdsp_bench_critpath verifies the critical-path
+ * engine against it.
  */
 PaperGrid buildPaperGrid();
 
 /**
- * Run every (workload x variant) grid point concurrently on the
- * sweep engine at benchScale(), fatal unless each run finishes and
- * verifies.
+ * Print a cycles table of @p grid (rows: benchmarks; columns:
+ * variants), followed by a row of means.
  *
- * @return results[workload][variant], independent of the schedule.
- */
-std::vector<std::vector<RunResult>>
-runGrid(const std::vector<const Workload *> &workloads,
-        const std::vector<Variant> &variants);
-
-/**
- * Export @p grid (as returned by runGrid) into
- * $SDSP_BENCH_JSON/<experiment><suffix>.json when that environment
- * variable is set; otherwise a no-op.
- */
-void exportRunsJson(const std::vector<Variant> &variants,
-                    const std::vector<std::vector<RunResult>> &grid,
-                    const std::string &suffix = "_runs");
-
-/**
- * Run each workload under each variant (concurrently, via runGrid)
- * and print a cycles table (rows: benchmarks; columns: variants),
- * followed by a row of means.
- *
+ * @param grid  results[workload][variant].
  * @return cycles[workload][variant].
- */
-std::vector<std::vector<Cycle>>
-printCyclesTable(const std::vector<const Workload *> &workloads,
-                 const std::vector<Variant> &variants);
-
-/**
- * As above, but over precomputed @p grid results — for experiments
- * that also report other columns of the same runs.
  */
 std::vector<std::vector<Cycle>>
 printCyclesTable(const std::vector<const Workload *> &workloads,
@@ -164,6 +129,14 @@ void printSpeedupTable(
     const std::vector<Variant> &variants,
     const std::vector<std::vector<Cycle>> &cycles,
     std::size_t base_col);
+
+/**
+ * The value of command-line option (or environment variable) @p name:
+ * @p text as a whole decimal number in [@p min_value, @p max_value].
+ * Fatal otherwise, naming the option.
+ */
+long parseIntOption(const char *name, const char *text, long min_value,
+                    long max_value);
 
 } // namespace bench
 } // namespace sdsp

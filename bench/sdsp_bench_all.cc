@@ -1,14 +1,22 @@
 /**
  * @file
- * The consolidated paper-reproduction driver.
+ * The paper-reproduction driver: runs any selection of the experiment
+ * registry (experiments.hh) — the paper's figures, tables and
+ * design-alternative ablations.
  *
- * Enumerates every grid point of the paper's figure/table suite
- * (fetch policies, thread counts, cache organizations, SU depths,
- * functional-unit complements, commit policies — figures 3-14 and
- * tables 3/5.2), deduplicates the points shared between experiments,
- * executes them all concurrently on the sweep engine, and writes one
+ * Without --only it runs the 12 figures, whose points are the paper
+ * grid (fetch policies, thread counts, cache organizations, SU
+ * depths, functional-unit complements, commit policies). --only
+ * SUBSTR keeps the paper-grid points with an experiment tag or
+ * benchmark name containing SUBSTR, and adds every other experiment
+ * whose id contains it (tab03_hit_rates, abl_bypassing, ...). The
+ * points shared between experiments are deduplicated and executed
+ * concurrently on the sweep engine, and the driver writes one
  * machine-checkable bench_results.json (per-run status, cycles, IPC,
- * hit rates, verify status, wall-clock, host metadata).
+ * hit rates, verify status, wall-clock, host metadata). Then every
+ * selected experiment whose points all verified in this run prints
+ * its banner and tables (and writes them as CSV into
+ * $SDSP_BENCH_CSV when set).
  *
  * The sweep is fault tolerant and resumable: a grid point that
  * throws, times out, or fails verification is recorded with its
@@ -52,6 +60,7 @@
 #include "analysis/ilp.hh"
 #include "bench_util.hh"
 #include "common/logging.hh"
+#include "experiments.hh"
 #include "harness/artifacts.hh"
 #include "harness/checkpoint.hh"
 
@@ -61,8 +70,7 @@ using namespace sdsp::bench;
 namespace
 {
 
-/** One deduplicated grid point and the experiments that need it
- *  (enumerated by bench_util's buildPaperGrid). */
+/** One deduplicated grid point and the experiments that need it. */
 using GridPoint = PaperGridPoint;
 
 /**
@@ -107,16 +115,45 @@ computeBounds(const std::vector<GridPoint> &points, unsigned scale)
     return bounds;
 }
 
-bool
-matchesFilter(const GridPoint &point, const std::string &filter)
+/**
+ * Print @p selected's banner and tables from this run's outcomes, or
+ * a one-line note when some of its points were restored from a
+ * checkpoint (whose results lack what the tables need) or failed.
+ */
+void
+printExperiment(const SelectedExperiment &selected,
+                const std::vector<JobOutcome> &outcomes,
+                const std::vector<const CheckpointEntry *> &restored,
+                unsigned scale)
 {
-    if (filter.empty())
-        return true;
-    for (const std::string &experiment : point.experiments) {
-        if (experiment.find(filter) != std::string::npos)
-            return true;
+    const Experiment &experiment = *selected.experiment;
+    std::size_t points = 0, restored_points = 0, failed_points = 0;
+    ExperimentResults results;
+    for (const std::vector<std::size_t> &row : selected.points) {
+        results.emplace_back();
+        for (std::size_t index : row) {
+            ++points;
+            if (restored[index])
+                ++restored_points;
+            else if (!outcomes[index].ok())
+                ++failed_points;
+            results.back().push_back(outcomes[index].result);
+        }
     }
-    return point.workload->name().find(filter) != std::string::npos;
+    if (restored_points) {
+        std::printf("%s: %zu of %zu points restored from a checkpoint; "
+                    "rerun without --resume for its tables\n",
+                    experiment.id.c_str(), restored_points, points);
+        return;
+    }
+    if (failed_points) {
+        std::printf("%s: %zu of %zu points failed; no tables\n",
+                    experiment.id.c_str(), failed_points, points);
+        return;
+    }
+    printHeader(experiment.banner, experiment.title,
+                experiment.expectation, scale);
+    experiment.report(experiment, results, scale);
 }
 
 int
@@ -153,24 +190,15 @@ main(int argc, char **argv)
                 fatal("%s needs a value", name);
             return argv[i];
         };
-        auto intArg = [&](const char *name, long min_value) -> long {
-            const char *text = strArg(name);
-            char *end = nullptr;
-            long value = std::strtol(text, &end, 10);
-            if (*end || value < min_value)
-                fatal("bad %s value: %s", name, text);
-            return value;
+        auto intArg = [&](const char *name, long min_value,
+                          long max_value) {
+            return parseIntOption(name, strArg(name), min_value,
+                                  max_value);
         };
         if (arg == "--jobs" || arg == "-j") {
-            long value = intArg("--jobs", 1);
-            if (value > 256)
-                fatal("--jobs out of range: %ld", value);
-            jobs = static_cast<unsigned>(value);
+            jobs = static_cast<unsigned>(intArg("--jobs", 1, 256));
         } else if (arg == "--scale") {
-            long value = intArg("--scale", 1);
-            if (value > 1000)
-                fatal("--scale out of range: %ld", value);
-            scale = static_cast<unsigned>(value);
+            scale = static_cast<unsigned>(intArg("--scale", 1, 1000));
         } else if (arg == "--out") {
             out_path = strArg("--out");
         } else if (arg == "--only") {
@@ -192,10 +220,8 @@ main(int argc, char **argv)
                 fatal("bad --max-cycles value: %s", text);
             options.maxCycles = value;
         } else if (arg == "--retries") {
-            long value = intArg("--retries", 0);
-            if (value > 100)
-                fatal("--retries out of range: %ld", value);
-            options.retries = static_cast<unsigned>(value);
+            options.retries =
+                static_cast<unsigned>(intArg("--retries", 0, 100));
         } else if (arg == "--resume") {
             resume_path = strArg("--resume");
         } else if (arg == "--checkpoint") {
@@ -212,12 +238,9 @@ main(int argc, char **argv)
         }
     }
 
-    PaperGrid suite = buildPaperGrid();
-    std::vector<GridPoint> points;
-    for (GridPoint &point : suite.points) {
-        if (matchesFilter(point, filter))
-            points.push_back(std::move(point));
-    }
+    Selection selection = selectExperiments(filter);
+    const PaperGrid &suite = selection.grid;
+    const std::vector<GridPoint> &points = suite.points;
 
     if (list_only) {
         for (const GridPoint &point : points) {
@@ -232,8 +255,9 @@ main(int argc, char **argv)
                     points.size(), suite.submitted);
         return 0;
     }
-    if (points.empty())
-        fatal("no grid points match --only %s", filter.c_str());
+    if (points.empty() && selection.experiments.empty())
+        fatal("no experiment or grid point matches --only %s",
+              filter.c_str());
 
     // Static IPC ceilings (one per point) that every verified run
     // must respect.
@@ -492,6 +516,9 @@ main(int argc, char **argv)
                      "IPC bound\n",
                      bound_violations);
     }
+
+    for (const SelectedExperiment &selected : selection.experiments)
+        printExperiment(selected, outcomes, restored, scale);
 
     std::printf("wall %.2fs, serial-equivalent %.2fs (%.1fx), "
                 "%zu/%zu verified (%zu restored from checkpoint), "

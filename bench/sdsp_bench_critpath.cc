@@ -299,15 +299,11 @@ main(int argc, char **argv)
             return argv[i];
         };
         if (arg == "--scale") {
-            long value = std::strtol(strArg("--scale"), nullptr, 10);
-            if (value < 1 || value > 1000)
-                fatal("--scale out of range");
-            scale = static_cast<unsigned>(value);
+            scale = static_cast<unsigned>(
+                parseIntOption("--scale", strArg("--scale"), 1, 1000));
         } else if (arg == "--jobs" || arg == "-j") {
-            long value = std::strtol(strArg("--jobs"), nullptr, 10);
-            if (value < 1 || value > 256)
-                fatal("--jobs out of range");
-            jobs = static_cast<unsigned>(value);
+            jobs = static_cast<unsigned>(
+                parseIntOption("--jobs", strArg("--jobs"), 1, 256));
         } else if (arg == "--out") {
             out_path = strArg("--out");
         } else if (arg == "--grid") {
