@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "core/processor.hh"
 #include "critpath/report.hh"
 #include "trace_frontend/replay.hh"
+#include "tools/cli_util.hh"
 #include "trace_frontend/trace_format.hh"
 
 namespace sdsp
@@ -24,18 +24,6 @@ namespace sdsp
 
 namespace
 {
-
-std::optional<std::uint64_t>
-parseNumber(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-    if (end != text.c_str() + text.size())
-        return std::nullopt;
-    return value;
-}
 
 std::optional<double>
 parseSeconds(const std::string &text)
@@ -48,22 +36,6 @@ parseSeconds(const std::string &text)
     if (ec != std::errc() || ptr != end || value < 0.0)
         return std::nullopt;
     return value;
-}
-
-std::optional<FetchPolicy>
-parsePolicy(const std::string &name)
-{
-    if (name == "truerr")
-        return FetchPolicy::TrueRoundRobin;
-    if (name == "maskedrr")
-        return FetchPolicy::MaskedRoundRobin;
-    if (name == "cswitch")
-        return FetchPolicy::ConditionalSwitch;
-    if (name == "adaptive")
-        return FetchPolicy::Adaptive;
-    if (name == "weightedrr")
-        return FetchPolicy::WeightedRoundRobin;
-    return std::nullopt;
 }
 
 void
@@ -123,19 +95,6 @@ perThreadCommitted(const Processor &cpu, unsigned threads)
         counts.push_back(
             cpu.committedInstructions(static_cast<ThreadId>(t)));
     return counts;
-}
-
-/** Locale-safe "12.34%" via integer basis points (printf %f would
- *  follow LC_NUMERIC for the decimal point; integers never do). */
-std::string
-percentOf(std::uint64_t part, std::uint64_t whole)
-{
-    if (!whole)
-        return "0.00%";
-    std::uint64_t bp = (part * 10000 + whole / 2) / whole;
-    return format("%llu.%02llu%%",
-                  static_cast<unsigned long long>(bp / 100),
-                  static_cast<unsigned long long>(bp % 100));
 }
 
 /** --stats: the per-thread stall attribution, raw cycles and
@@ -275,7 +234,8 @@ runReplayStream(const CliOptions &options, std::ostream &out)
         std::uint64_t tid = 0;
         auto colon = spec.rfind(':');
         if (colon != std::string::npos && colon + 1 < spec.size()) {
-            auto suffix = parseNumber(spec.substr(colon + 1));
+            auto suffix = parseNumber(spec.substr(colon + 1), 0,
+                                      kFieldMax<std::uint64_t>);
             if (suffix) {
                 tid = *suffix;
                 path = spec.substr(0, colon);
@@ -345,7 +305,7 @@ std::string
 cliUsage()
 {
     return "usage: sdsp-run [options] program.s\n"
-           "  -t N                 resident threads (default 1)\n"
+           "  -t N                 resident threads (default 4)\n"
            "  -f POLICY            truerr|maskedrr|cswitch|adaptive|"
            "weightedrr\n"
            "  -w W0,W1,...         fetch weights for weightedrr\n"
@@ -411,8 +371,8 @@ parseCliOptions(const std::vector<std::string> &args)
                 return fail(arg + " needs a value");
 
             if (arg == "-t") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1 || *n > 16)
+                auto n = parseNumber(*value, 1, 16);
+                if (!n)
                     return fail("bad thread count: " + *value);
                 options.config.numThreads =
                     static_cast<unsigned>(*n);
@@ -426,14 +386,14 @@ parseCliOptions(const std::vector<std::string> &args)
                 std::string item;
                 options.config.fetchWeights.clear();
                 while (std::getline(list, item, ',')) {
-                    auto weight = parseNumber(item);
-                    if (!weight || *weight < 1)
+                    auto weight = parseNumber(item, 1, kFieldMax<unsigned>);
+                    if (!weight)
                         return fail("bad fetch weight: " + item);
                     options.config.fetchWeights.push_back(
                         static_cast<unsigned>(*weight));
                 }
             } else if (arg == "-s") {
-                auto n = parseNumber(*value);
+                auto n = parseNumber(*value, 0, kFieldMax<unsigned>);
                 if (!n)
                     return fail("bad SU size: " + *value);
                 options.config.suEntries = static_cast<unsigned>(*n);
@@ -458,26 +418,26 @@ parseCliOptions(const std::vector<std::string> &args)
                     return fail("unknown rename mode: " + *value);
                 }
             } else if (arg == "--cache-ways") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1)
+                auto n = parseNumber(*value, 1, kFieldMax<std::uint32_t>);
+                if (!n)
                     return fail("bad way count: " + *value);
                 options.config.dcache.ways =
                     static_cast<std::uint32_t>(*n);
             } else if (arg == "--cache-size") {
-                auto n = parseNumber(*value);
+                auto n = parseNumber(*value, 0, kFieldMax<std::uint32_t>);
                 if (!n)
                     return fail("bad cache size: " + *value);
                 options.config.dcache.sizeBytes =
                     static_cast<std::uint32_t>(*n);
             } else if (arg == "--cache-partitions") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1)
+                auto n = parseNumber(*value, 1, kFieldMax<std::uint32_t>);
+                if (!n)
                     return fail("bad partition count: " + *value);
                 options.config.dcache.partitions =
                     static_cast<std::uint32_t>(*n);
             } else if (arg == "--btb-banks") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1)
+                auto n = parseNumber(*value, 1, kFieldMax<unsigned>);
+                if (!n)
                     return fail("bad bank count: " + *value);
                 options.config.btbBanks = static_cast<unsigned>(*n);
             } else if (arg == "--timeout") {
@@ -498,8 +458,8 @@ parseCliOptions(const std::vector<std::string> &args)
             } else if (arg == "--summary-json") {
                 options.summaryJson = *value;
             } else { // --max-cycles
-                auto n = parseNumber(*value);
-                if (!n || *n < 1)
+                auto n = parseNumber(*value, 1, kFieldMax<std::uint64_t>);
+                if (!n)
                     return fail("bad cycle cap: " + *value);
                 options.config.maxCycles = *n;
             }

@@ -8,7 +8,7 @@
  *     sdsp-run [options] program.s
  *
  * Options (see parseCliOptions for the full list):
- *     -t N                 resident threads (default 1)
+ *     -t N                 resident threads (default 4)
  *     -f POLICY            truerr | maskedrr | cswitch | adaptive
  *                          | weightedrr
  *     -w W0,W1,...         fetch weights for weightedrr

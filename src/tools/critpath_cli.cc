@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <optional>
@@ -13,6 +12,7 @@
 #include "common/logging.hh"
 #include "critpath/report.hh"
 #include "harness/runner.hh"
+#include "tools/cli_util.hh"
 #include "trace_frontend/replay.hh"
 #include "trace_frontend/trace_format.hh"
 #include "workloads/workload.hh"
@@ -22,58 +22,6 @@ namespace sdsp
 
 namespace
 {
-
-std::optional<std::uint64_t>
-parseNumber(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-    if (end != text.c_str() + text.size())
-        return std::nullopt;
-    return value;
-}
-
-std::optional<FetchPolicy>
-parsePolicy(const std::string &name)
-{
-    if (name == "truerr")
-        return FetchPolicy::TrueRoundRobin;
-    if (name == "maskedrr")
-        return FetchPolicy::MaskedRoundRobin;
-    if (name == "cswitch")
-        return FetchPolicy::ConditionalSwitch;
-    if (name == "adaptive")
-        return FetchPolicy::Adaptive;
-    if (name == "weightedrr")
-        return FetchPolicy::WeightedRoundRobin;
-    return std::nullopt;
-}
-
-const Workload *
-findWorkload(const std::string &name)
-{
-    for (const Workload *workload : allWorkloads())
-        if (workload->name() == name)
-            return workload;
-    for (const Workload *workload : extensionWorkloads())
-        if (workload->name() == name)
-            return workload;
-    return nullptr;
-}
-
-/** Locale-safe "12.34%" via integer basis points. */
-std::string
-percentOf(std::uint64_t part, std::uint64_t whole)
-{
-    if (!whole)
-        return "0.00%";
-    std::uint64_t bp = (part * 10000 + whole / 2) / whole;
-    return format("%llu.%02llu%%",
-                  static_cast<unsigned long long>(bp / 100),
-                  static_cast<unsigned long long>(bp % 100));
-}
 
 void
 printBreakdown(std::ostream &out, const RelaxResult &result)
@@ -112,7 +60,7 @@ critpathCliUsage()
            "  --list               list built-in benchmarks\n"
            "  --scale N            workload problem scale percent\n"
            "  --trace FILE         exact-replay a recorded trace\n"
-           "  -t N                 resident threads (default 1)\n"
+           "  -t N                 resident threads (default 4)\n"
            "  -f POLICY            truerr|maskedrr|cswitch|adaptive|"
            "weightedrr\n"
            "  -s N                 scheduling unit entries\n"
@@ -160,15 +108,15 @@ parseCritpathCliOptions(const std::vector<std::string> &args)
             if (arg == "--workload") {
                 options.workload = *value;
             } else if (arg == "--scale") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1)
+                auto n = parseNumber(*value, 1, 1000);
+                if (!n)
                     return fail("bad scale: " + *value);
                 options.scale = static_cast<unsigned>(*n);
             } else if (arg == "--trace") {
                 options.tracePath = *value;
             } else if (arg == "-t") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1 || *n > 16)
+                auto n = parseNumber(*value, 1, 16);
+                if (!n)
                     return fail("bad thread count: " + *value);
                 options.config.numThreads =
                     static_cast<unsigned>(*n);
@@ -178,7 +126,7 @@ parseCritpathCliOptions(const std::vector<std::string> &args)
                     return fail("unknown fetch policy: " + *value);
                 options.config.fetchPolicy = *policy;
             } else if (arg == "-s") {
-                auto n = parseNumber(*value);
+                auto n = parseNumber(*value, 0, kFieldMax<unsigned>);
                 if (!n)
                     return fail("bad SU size: " + *value);
                 options.config.suEntries = static_cast<unsigned>(*n);
@@ -207,8 +155,8 @@ parseCritpathCliOptions(const std::vector<std::string> &args)
             } else if (arg == "--json") {
                 options.jsonPath = *value;
             } else { // --max-cycles
-                auto n = parseNumber(*value);
-                if (!n || *n < 1)
+                auto n = parseNumber(*value, 1, kFieldMax<std::uint64_t>);
+                if (!n)
                     return fail("bad cycle cap: " + *value);
                 options.config.maxCycles = *n;
             }

@@ -11,6 +11,7 @@
 
 #include "common/logging.hh"
 #include "harness/sweep.hh"
+#include "tools/cli_util.hh"
 #include "workloads/workload.hh"
 
 namespace sdsp
@@ -18,30 +19,6 @@ namespace sdsp
 
 namespace
 {
-
-std::optional<std::uint64_t>
-parseNumber(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-    if (end != text.c_str() + text.size())
-        return std::nullopt;
-    return value;
-}
-
-const Workload *
-findWorkload(const std::string &name)
-{
-    for (const Workload *workload : allWorkloads())
-        if (workload->name() == name)
-            return workload;
-    for (const Workload *workload : extensionWorkloads())
-        if (workload->name() == name)
-            return workload;
-    return nullptr;
-}
 
 std::vector<std::string>
 splitCommas(const std::string &list)
@@ -147,18 +124,18 @@ parseExploreCliOptions(const std::vector<std::string> &args)
                 if (options.workloads.empty())
                     return fail("--workloads list is empty");
             } else if (arg == "-t") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1 || *n > 16)
+                auto n = parseNumber(*value, 1, 16);
+                if (!n)
                     return fail("bad thread count: " + *value);
                 options.threads = static_cast<unsigned>(*n);
             } else if (arg == "--scale") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1 || *n > 1000)
+                auto n = parseNumber(*value, 1, 1000);
+                if (!n)
                     return fail("bad scale: " + *value);
                 options.scale = static_cast<unsigned>(*n);
             } else if (arg == "--jobs") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1 || *n > 256)
+                auto n = parseNumber(*value, 1, 256);
+                if (!n)
                     return fail("bad job count: " + *value);
                 options.jobs = static_cast<unsigned>(*n);
             } else if (arg == "--axis") {

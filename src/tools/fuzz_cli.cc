@@ -1,6 +1,5 @@
 #include "tools/fuzz_cli.hh"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -12,24 +11,13 @@
 #include "fuzz/differential.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/minimize.hh"
+#include "tools/cli_util.hh"
 
 namespace sdsp
 {
 
 namespace
 {
-
-std::optional<std::uint64_t>
-parseNumber(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-    if (end != text.c_str() + text.size())
-        return std::nullopt;
-    return value;
-}
 
 /**
  * The machine grid one case's configuration is drawn from. Thread
@@ -153,13 +141,13 @@ parseFuzzCliOptions(const std::vector<std::string> &args)
             if (!value)
                 return fail(arg + " needs a value");
             if (arg == "--seed") {
-                auto n = parseNumber(*value);
+                auto n = parseNumber(*value, 0, kFieldMax<std::uint64_t>);
                 if (!n)
                     return fail("bad seed: " + *value);
                 options.seed = *n;
             } else if (arg == "--count") {
-                auto n = parseNumber(*value);
-                if (!n || *n < 1)
+                auto n = parseNumber(*value, 1, kFieldMax<std::uint64_t>);
+                if (!n)
                     return fail("bad count: " + *value);
                 options.count = *n;
             } else if (arg == "--shape") {

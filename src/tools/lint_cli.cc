@@ -8,6 +8,7 @@
 #include "asm/assembler.hh"
 #include "common/json.hh"
 #include "core/config.hh"
+#include "tools/cli_util.hh"
 #include "workloads/workload.hh"
 
 namespace sdsp
@@ -61,25 +62,31 @@ parseLintCliOptions(const std::vector<std::string> &args)
             const std::string *value = next();
             if (!value)
                 return bad("-t needs a thread count");
-            options.threads =
-                static_cast<unsigned>(std::stoul(*value));
-            if (options.threads == 0)
-                return bad("-t must be positive");
+            auto n = parseNumber(*value, 1, 16);
+            if (!n)
+                return bad("-t must be a thread count in 1..16, got '" +
+                           *value + "'");
+            options.threads = static_cast<unsigned>(*n);
         } else if (arg == "--scale") {
             const std::string *value = next();
             if (!value)
                 return bad("--scale needs a percentage");
-            options.scale = static_cast<unsigned>(std::stoul(*value));
-            if (options.scale == 0)
-                return bad("--scale must be positive");
+            auto n = parseNumber(*value, 1, 1000);
+            if (!n)
+                return bad("--scale must be a percentage in 1..1000, "
+                           "got '" + *value + "'");
+            options.scale = static_cast<unsigned>(*n);
         } else if (arg == "--align") {
             options.align = true;
         } else if (arg == "--extra-memory") {
             const std::string *value = next();
             if (!value)
                 return bad("--extra-memory needs a byte count");
-            options.extraMemory =
-                static_cast<std::uint32_t>(std::stoul(*value));
+            auto n = parseNumber(*value, 0, kFieldMax<std::uint32_t>);
+            if (!n)
+                return bad("--extra-memory must be a byte count, got '" +
+                           *value + "'");
+            options.extraMemory = static_cast<std::uint32_t>(*n);
         } else if (arg == "--json") {
             const std::string *value = next();
             if (!value)

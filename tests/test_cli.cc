@@ -76,6 +76,8 @@ TEST(CliParse, Defaults)
     ASSERT_TRUE(options.ok);
     EXPECT_EQ(options.programPath, "prog.s");
     EXPECT_EQ(options.config.numThreads, 4u); // MachineConfig default
+    EXPECT_NE(cliUsage().find("resident threads (default 4)"),
+              std::string::npos);
     EXPECT_FALSE(options.trace);
     EXPECT_FALSE(options.stats);
 }
@@ -134,6 +136,48 @@ TEST(CliParse, Errors)
     EXPECT_FALSE(parse({"--timeout", "-1", "prog.s"}).ok);
     EXPECT_FALSE(parse({"--timeout", "fast", "prog.s"}).ok);
     EXPECT_FALSE(parse({"--timeout"}).ok);
+    // Values wider than their 32-bit field are errors, not wrapped.
+    EXPECT_FALSE(parse({"-s", "4294967328", "prog.s"}).ok);
+    EXPECT_FALSE(parse({"--cache-ways", "4294967298", "prog.s"}).ok);
+    EXPECT_FALSE(parse({"--cache-size", "4294975488", "prog.s"}).ok);
+    EXPECT_FALSE(parse({"--btb-banks", "4294967297", "prog.s"}).ok);
+    EXPECT_FALSE(parse({"-t", "4", "-f", "weightedrr", "-w",
+                        "4294967297,1,1,1", "prog.s"})
+                     .ok);
+    // Signs, blanks and overflow are not numbers.
+    EXPECT_FALSE(parse({"--max-cycles", "-1", "prog.s"}).ok);
+    EXPECT_FALSE(parse({"--max-cycles", " 5", "prog.s"}).ok);
+    EXPECT_FALSE(
+        parse({"--max-cycles", "99999999999999999999", "prog.s"}).ok);
+}
+
+LintCliOptions
+parseLint(std::initializer_list<const char *> args)
+{
+    return parseLintCliOptions(
+        std::vector<std::string>(args.begin(), args.end()));
+}
+
+TEST(LintCliParse, NumericValuesAreCheckedNotThrownOrWrapped)
+{
+    LintCliOptions options = parseLint({"-t", "abc", "prog.s"});
+    EXPECT_FALSE(options.ok);
+    EXPECT_NE(options.error.find("abc"), std::string::npos)
+        << options.error;
+    EXPECT_FALSE(
+        parseLint({"--all", "-t", "99999999999999999999"}).ok);
+    EXPECT_FALSE(
+        parseLint({"--all", "-t", "4", "--scale", "4294967321"}).ok);
+    EXPECT_FALSE(
+        parseLint({"--all", "--extra-memory", "4294967296"}).ok);
+    EXPECT_FALSE(parseLint({"--all", "-t", "0"}).ok);
+
+    options = parseLint({"--all", "-t", "2", "--scale", "25",
+                         "--extra-memory", "64"});
+    ASSERT_TRUE(options.ok) << options.error;
+    EXPECT_EQ(options.threads, 2u);
+    EXPECT_EQ(options.scale, 25u);
+    EXPECT_EQ(options.extraMemory, 64u);
 }
 
 TEST(CliParse, Timeout)

@@ -531,6 +531,30 @@ TEST(CritpathCli, RejectsConflictingInputs)
     EXPECT_FALSE(options.ok);
 }
 
+TEST(CritpathCli, NumericValuesOutsideTheirFieldAreErrors)
+{
+    auto parse = [](std::vector<std::string> args) {
+        return parseCritpathCliOptions(std::move(args));
+    };
+    // Both used to wrap to 32 bits: scale 10 and an SU of 64.
+    EXPECT_FALSE(parse({"--workload", "LL1", "-t", "4", "--scale",
+                        "4294967306"})
+                     .ok);
+    EXPECT_FALSE(parse({"--workload", "LL1", "-s", "4294967360"}).ok);
+    EXPECT_FALSE(parse({"--workload", "LL1", "--scale", "10x"}).ok);
+    EXPECT_FALSE(parse({"--workload", "LL1", "-t", "-4"}).ok);
+
+    CritpathCliOptions options =
+        parse({"--workload", "LL1", "--scale", "10", "-s", "48"});
+    ASSERT_TRUE(options.ok) << options.error;
+    EXPECT_EQ(options.scale, 10u);
+    EXPECT_EQ(options.config.suEntries, 48u);
+    EXPECT_EQ(options.config.numThreads, 4u); // the usage's default
+    EXPECT_NE(critpathCliUsage().find("-t N                 resident "
+                                      "threads (default 4)"),
+              std::string::npos);
+}
+
 TEST(CritpathCli, UnknownWorkloadFailsCleanly)
 {
     CritpathCliOptions options = parseCritpathCliOptions(
