@@ -52,14 +52,16 @@ reportSpeedup(const Experiment &experiment,
 Experiment
 figure(BenchmarkGroup group, int ll_figure, std::string title,
        std::string expectation, std::vector<Variant> variants,
-       void (*report)(const Experiment &, const ExperimentResults &,
-                      unsigned))
+       Report report)
 {
     int number = group == BenchmarkGroup::LivermoreLoops ? ll_figure
                                                          : ll_figure + 1;
-    return {format("fig%02d", number), format("Figure %d", number),
-            std::move(title),          std::move(expectation),
-            workloadsInGroup(group),   std::move(variants),
+    return {format("fig%02d", number),
+            format("Figure %d", number),
+            std::move(title),
+            std::move(expectation),
+            workloadsInGroup(group),
+            std::move(variants),
             report};
 }
 

@@ -30,6 +30,17 @@ namespace bench
 /** The runs of one experiment: results[workload][variant]. */
 using ExperimentResults = std::vector<std::vector<RunResult>>;
 
+struct Experiment;
+
+/**
+ * Print @p experiment's tables under its banner from @p results.
+ * Entries without sweep points measure here themselves, at problem
+ * scale @p scale.
+ */
+using Report = void (*)(const Experiment &experiment,
+                        const ExperimentResults &results,
+                        unsigned scale);
+
 /** One figure, table or ablation of the paper's evaluation. */
 struct Experiment
 {
@@ -46,13 +57,7 @@ struct Experiment
      *  are empty for entries that are not workload x config grids. */
     std::vector<const Workload *> workloads;
     std::vector<Variant> variants;
-    /**
-     * Print the tables under the banner from @p results. Entries
-     * without sweep points measure here themselves, at problem
-     * scale @p scale.
-     */
-    void (*report)(const Experiment &experiment,
-                   const ExperimentResults &results, unsigned scale);
+    Report report;
 
     /** The 12 figure entries make up the paper grid. */
     bool isFigure() const { return id.rfind("fig", 0) == 0; }

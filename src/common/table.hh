@@ -3,7 +3,7 @@
  * ASCII table and CSV rendering for the benchmark harness.
  *
  * Every figure and table reproduced from the paper is printed through
- * this formatter so that all bench binaries share one output style.
+ * this formatter so that every experiment shares one output style.
  */
 
 #ifndef SDSP_COMMON_TABLE_HH

@@ -2,7 +2,7 @@
  * @file
  * Experiment runner: builds a workload, runs it on a configured
  * processor, verifies the architectural output, and returns the
- * measurements the paper reports. All bench binaries and most
+ * measurements the paper reports. The bench drivers and most
  * integration tests go through this entry point.
  */
 
