@@ -15,8 +15,8 @@
 #include "common/trace.hh"
 #include "core/processor.hh"
 #include "critpath/report.hh"
-#include "trace_frontend/replay.hh"
 #include "tools/cli_util.hh"
+#include "trace_frontend/replay.hh"
 #include "trace_frontend/trace_format.hh"
 
 namespace sdsp
