@@ -959,8 +959,8 @@ class GridBuilder
     std::map<std::string, std::size_t> index_;
 };
 
-/** Today's --only match on a paper-grid point: a tag or the
- *  benchmark name contains @p filter. */
+/** The paper-grid half of --only: a tag or the benchmark name of
+ *  @p point contains @p filter. */
 bool
 matchesFilter(const PaperGridPoint &point, const std::string &filter)
 {
@@ -1029,7 +1029,7 @@ selectExperiments(const std::string &filter)
     }
 
     GridBuilder builder(std::move(paper));
-    std::vector<const Experiment *> chosen;
+    Selection selection;
     for (const Experiment &experiment : experiments()) {
         bool selected = filter.empty()
                             ? experiment.isFigure()
@@ -1041,13 +1041,9 @@ selectExperiments(const std::string &filter)
         // the paper-grid filter above already kept them.
         if (!experiment.isFigure())
             builder.add(experiment);
-        chosen.push_back(&experiment);
-    }
-
-    Selection selection;
-    for (const Experiment *experiment : chosen)
         selection.experiments.push_back(
-            {experiment, builder.indices(*experiment)});
+            {&experiment, builder.indices(experiment)});
+    }
     selection.grid = std::move(builder.grid());
     return selection;
 }
