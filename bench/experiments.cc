@@ -182,7 +182,8 @@ suDepthVariants()
     return variants;
 }
 
-/** Figures 11/12 and Table 4: FU complement x {1,4} threads. */
+/** Figures 11/12: FU complement x {1,4} threads. Table 4 runs the
+ *  last variant, 4Thread++. */
 std::vector<Variant>
 fuConfigVariants()
 {
@@ -353,15 +354,14 @@ reportHitRates(const Experiment &experiment,
 
 /**
  * Table 4: busy cycles of the enhanced configuration's extra FU
- * instances. Issue always picks the lowest-numbered free instance of
- * a class, so the instances at indices >= the default configuration's
- * count are exactly the "extra" units the paper tracks. Per-instance
- * busy cycles are not part of a RunResult, so this entry runs its
- * own simulations.
+ * instances, from each run's fu.<class>[i].busyFraction statistic.
+ * Issue always picks the lowest-numbered free instance of a class,
+ * so the instances at indices >= the default configuration's count
+ * are exactly the "extra" units the paper tracks.
  */
 void
-reportFuUsage(const Experiment &, const ExperimentResults &,
-              unsigned scale)
+reportFuUsage(const Experiment &experiment,
+              const ExperimentResults &results, unsigned)
 {
     FuConfig def = FuConfig::sdspDefault();
     FuConfig enh = FuConfig::sdspEnhanced();
@@ -369,46 +369,27 @@ reportFuUsage(const Experiment &, const ExperimentResults &,
     Table table({"group", "extra unit", "% cycles used"});
     for (BenchmarkGroup group :
          {BenchmarkGroup::LivermoreLoops, BenchmarkGroup::GroupII}) {
-        auto workloads = workloadsInGroup(group);
-        const char *group_name =
-            group == BenchmarkGroup::LivermoreLoops ? "Group I"
-                                                    : "Group II";
-
-        // Accumulate per-extra-instance busy fractions over the
-        // group's benchmarks.
-        std::vector<std::vector<double>> sums(kNumFuClasses);
-        for (unsigned cls = 0; cls < kNumFuClasses; ++cls)
-            sums[cls].assign(enh.count[cls], 0.0);
-
-        for (const Workload *workload : workloads) {
-            MachineConfig cfg = paperConfig(4);
-            cfg.fu = enh;
-            WorkloadImage image = workload->build(cfg.numThreads, scale);
-            Processor cpu(cfg, image.program);
-            SimResult sim = cpu.run();
-            if (!sim.finished || !image.verify(cpu.memory()).ok)
-                fatal("%s failed under the enhanced configuration",
-                      workload->name().c_str());
-            for (unsigned cls = 0; cls < kNumFuClasses; ++cls) {
-                for (unsigned i = 0; i < enh.count[cls]; ++i) {
-                    auto fu_class = static_cast<FuClass>(cls);
-                    sums[cls][i] +=
-                        static_cast<double>(
-                            cpu.fuPool().busyCycles(fu_class, i)) /
-                        static_cast<double>(sim.cycles);
-                }
-            }
-        }
-
-        double n = static_cast<double>(workloads.size());
         for (unsigned cls = 0; cls < kNumFuClasses; ++cls) {
+            const char *fu_class = fuClassName(static_cast<FuClass>(cls));
             for (unsigned i = def.count[cls]; i < enh.count[cls]; ++i) {
+                // Average the instance's busy fraction over the
+                // group's benchmarks.
+                std::string stat =
+                    format("fu.%s[%u].busyFraction", fu_class, i);
+                double sum = 0.0;
+                std::size_t count = 0;
+                for (std::size_t w = 0; w < results.size(); ++w) {
+                    if (experiment.workloads[w]->group() != group)
+                        continue;
+                    sum += results[w][0].stats.get(stat);
+                    ++count;
+                }
                 table.beginRow();
-                table.cell(group_name);
-                table.cell(format("%s #%u",
-                                  fuClassName(static_cast<FuClass>(cls)),
-                                  i + 1));
-                table.cell(100.0 * sums[cls][i] / n, 2);
+                table.cell(group == BenchmarkGroup::LivermoreLoops
+                               ? "Group I"
+                               : "Group II");
+                table.cell(format("%s #%u", fu_class, i + 1));
+                table.cell(100.0 * sum / static_cast<double>(count), 2);
             }
         }
     }
@@ -520,7 +501,7 @@ addTables(std::vector<Experiment> &registry)
          "the second load unit and the FP multiplier are the most "
          "valuable extras; the FP multiplier matters most to the "
          "compute-intensive Group I",
-         {}, {}, reportFuUsage});
+         allWorkloads(), {fuConfigVariants().back()}, reportFuUsage});
     registry.push_back(
         {"tab_speedup_summary", "Section 5.2 summary",
          "peak multithreading improvement per benchmark",

@@ -107,11 +107,27 @@ TEST(BenchSelection, RunsAndPrintsAnAblation)
     EXPECT_NE(output.find("\nmean "), std::string::npos) << output;
 }
 
-TEST(BenchSelection, PrintsATableWithoutSweepPoints)
+TEST(BenchSelection, RunsAndPrintsTable4)
 {
     std::string output;
     ASSERT_EQ(runSelection("tab04_fu_usage", &output), 0) << output;
+    EXPECT_NE(output.find(", 11/11 verified"), std::string::npos)
+        << output;
     EXPECT_NE(output.find("Table 4: average usage of extra functional"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("\nGroup I   Load #2 "), std::string::npos)
+        << output;
+}
+
+TEST(BenchSelection, PrintsATableWithoutSweepPoints)
+{
+    std::string output;
+    ASSERT_EQ(runSelection("tab_instruction_mix", &output), 0) << output;
+    EXPECT_NE(output.find(", 0/0 verified"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("Workload characterization: dynamic "
+                          "instruction mix"),
               std::string::npos)
         << output;
 }
