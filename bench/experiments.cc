@@ -1011,16 +1011,21 @@ selectExperiments(const std::string &filter)
 
     GridBuilder builder(std::move(paper));
     Selection selection;
-    for (const Experiment &experiment : experiments()) {
+    // experiments() begins with the figure entries.
+    const std::size_t figures = figureExperiments().size();
+    const std::vector<Experiment> &registry = experiments();
+    for (std::size_t e = 0; e < registry.size(); ++e) {
+        const Experiment &experiment = registry[e];
+        bool figure = e < figures;
         bool selected = filter.empty()
-                            ? experiment.isFigure()
+                            ? figure
                             : experiment.id.find(filter) !=
                                   std::string::npos;
         if (!selected)
             continue;
         // A selected figure's points all carry its id as a tag, so
         // the paper-grid filter above already kept them.
-        if (!experiment.isFigure())
+        if (!figure)
             builder.add(experiment);
         selection.experiments.push_back(
             {&experiment, builder.indices(experiment)});

@@ -58,9 +58,6 @@ struct Experiment
     std::vector<const Workload *> workloads;
     std::vector<Variant> variants;
     Report report;
-
-    /** The 12 figure entries make up the paper grid. */
-    bool isFigure() const { return id.rfind("fig", 0) == 0; }
 };
 
 /**
