@@ -180,6 +180,19 @@ TEST(LintCliParse, NumericValuesAreCheckedNotThrownOrWrapped)
     EXPECT_EQ(options.extraMemory, 64u);
 }
 
+TEST(LintCliParse, ReadsNumbersInTheBasesOfTheOtherTools)
+{
+    // The shared reader takes 0x-hex and 0-octal like sdsp-run, so
+    // these are not decimal 40, 10 and 25.
+    LintCliOptions options = parseLint({"--all", "-t", "010", "--scale",
+                                        "025", "--extra-memory", "0x40"});
+    ASSERT_TRUE(options.ok) << options.error;
+    EXPECT_EQ(options.threads, 8u);
+    EXPECT_EQ(options.scale, 21u);
+    EXPECT_EQ(options.extraMemory, 64u);
+    EXPECT_EQ(parse({"-s", "0x20", "prog.s"}).config.suEntries, 32u);
+}
+
 TEST(CliParse, Timeout)
 {
     EXPECT_EQ(parse({"prog.s"}).timeoutSeconds, 0.0);
