@@ -182,8 +182,7 @@ TEST(LintCliParse, NumericValuesAreCheckedNotThrownOrWrapped)
 
 TEST(LintCliParse, ReadsNumbersInTheBasesOfTheOtherTools)
 {
-    // The shared reader takes 0x-hex and 0-octal like sdsp-run, so
-    // these are not decimal 40, 10 and 25.
+    // The shared reader takes 0x-hex and 0-octal like sdsp-run.
     LintCliOptions options = parseLint({"--all", "-t", "010", "--scale",
                                         "025", "--extra-memory", "0x40"});
     ASSERT_TRUE(options.ok) << options.error;
