@@ -126,7 +126,7 @@ Interpreter::stepThread(ThreadId tid)
         next_pc = static_cast<InstAddr>(s1);
     } else if (inst.isLoad()) {
         Addr addr = evalEffectiveAddress(inst, s1);
-        if (addr % 8 != 0 || addr + 8 > mem.size()) {
+        if (addr % 8 != 0 || !wordInRange(addr, mem.size())) {
             fault(tid, format("misaligned or out-of-bounds load at "
                               "0x%x",
                               addr));
@@ -135,7 +135,7 @@ Interpreter::stepThread(ThreadId tid)
         setReg(tid, inst.rd, readWord(mem, addr));
     } else if (inst.isStore()) {
         Addr addr = evalEffectiveAddress(inst, s1);
-        if (addr % 8 != 0 || addr + 8 > mem.size()) {
+        if (addr % 8 != 0 || !wordInRange(addr, mem.size())) {
             fault(tid, format("misaligned or out-of-bounds store at "
                               "0x%x",
                               addr));

@@ -16,6 +16,7 @@
 #ifndef SDSP_ISA_PROGRAM_HH
 #define SDSP_ISA_PROGRAM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -75,12 +76,24 @@ struct Program
     }
 };
 
+/**
+ * Does the 8-byte word at @p addr lie inside a memory of @p size
+ * bytes? Computed in 64 bits: in the 32-bit Addr type, addr + 8 wraps
+ * to a small number for the top eight addresses.
+ */
+inline bool
+wordInRange(Addr addr, std::size_t size)
+{
+    return std::uint64_t{addr} + 8 <= size;
+}
+
 /** Read a 64-bit little-endian word from a byte buffer. */
 inline std::uint64_t
 readWord(const std::vector<std::uint8_t> &mem, Addr addr)
 {
     sdsp_assert(addr % 8 == 0, "misaligned 8-byte read at 0x%x", addr);
-    sdsp_assert(addr + 8 <= mem.size(), "read out of range at 0x%x", addr);
+    sdsp_assert(wordInRange(addr, mem.size()), "read out of range at 0x%x",
+                addr);
     std::uint64_t value;
     std::memcpy(&value, mem.data() + addr, 8);
     return value;
@@ -91,7 +104,7 @@ inline void
 writeWord(std::vector<std::uint8_t> &mem, Addr addr, std::uint64_t value)
 {
     sdsp_assert(addr % 8 == 0, "misaligned 8-byte write at 0x%x", addr);
-    sdsp_assert(addr + 8 <= mem.size(), "write out of range at 0x%x",
+    sdsp_assert(wordInRange(addr, mem.size()), "write out of range at 0x%x",
                 addr);
     std::memcpy(mem.data() + addr, &value, 8);
 }

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -460,6 +461,53 @@ TEST(CliOverflow, MostNegativeDivisionRunsInEveryTool)
             << out.str();
         std::remove(path.c_str());
     }
+}
+
+TEST(CliAddress, TopWordIsOutOfRangeNotACrash)
+{
+    // 0xfffffff8 + 8 wraps to 0 in the 32-bit address type; the range
+    // checks are made in 64 bits, so this is an ordinary
+    // out-of-bounds access everywhere.
+    const std::string load =
+        ".space buf 64\nldi r1, -8\nld r2, 0(r1)\nhalt\n";
+    const std::string store =
+        ".space buf 64\nldi r1, -8\nst r2, 0(r1)\nhalt\n";
+    const std::pair<std::string, const char *> programs[] = {
+        {load, "out-of-bounds load at 0xfffffff8"},
+        {store, "out-of-bounds store at 0xfffffff8"},
+    };
+    for (const auto &[source, fault] : programs) {
+        SCOPED_TRACE(source);
+        Interpreter interp(assemble(source).program, 1);
+        EXPECT_TRUE(interp.run());
+        EXPECT_TRUE(interp.faulted(0));
+        EXPECT_NE(interp.faultMessage().find(fault), std::string::npos)
+            << interp.faultMessage();
+    }
+
+    std::string load_path = ::testing::TempDir() + "cli_top_word_ld.s";
+    std::string store_path = ::testing::TempDir() + "cli_top_word_st.s";
+    std::ofstream(load_path) << load;
+    std::ofstream(store_path) << store;
+    std::ostringstream out, trace;
+
+    // The pipeline reads a dummy value for a committed out-of-range
+    // load, as for any other out-of-range address.
+    EXPECT_EQ(runCli(parse({load_path.c_str()}), out, trace), 0)
+        << out.str();
+    EXPECT_EQ(runCritpathCli(parseCritpathCliOptions({load_path}), out),
+              0)
+        << out.str();
+
+    // A committed out-of-range store is still a named panic, not a
+    // segmentation fault.
+    EXPECT_DEATH(runCli(parse({store_path.c_str()}), out, trace),
+                 "write out of range at 0xfffffff8");
+    EXPECT_DEATH(
+        runCritpathCli(parseCritpathCliOptions({store_path}), out),
+        "write out of range at 0xfffffff8");
+    std::remove(load_path.c_str());
+    std::remove(store_path.c_str());
 }
 
 } // namespace
