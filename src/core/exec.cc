@@ -12,11 +12,10 @@ FuPool::FuPool(const FuConfig &config) : cfg(config)
     instances.resize(kNumFuClasses);
     for (unsigned cls = 0; cls < kNumFuClasses; ++cls)
         instances[cls].resize(cfg.count[cls]);
-    // Bounded by in-flight instructions (the SU window); reserve a
-    // generous fixed amount so issue never reallocates in steady
-    // state.
-    inflight.reserve(256);
-    deferred.reserve(64);
+    // Both lists stay short (the wheel holds nearly every operation);
+    // reserving up front keeps a burst from allocating mid-run.
+    overflow.reserve(64);
+    backlog.reserve(64);
 }
 
 std::vector<FuPool::Instance> &
@@ -31,89 +30,70 @@ FuPool::instancesOf(FuClass cls) const
     return instances[static_cast<unsigned>(cls)];
 }
 
-bool
-FuPool::canIssue(FuClass cls, Cycle now) const
+void
+FuPool::insertSorted(std::vector<FuCompletion> &list,
+                     const FuCompletion &op)
 {
-    for (const Instance &instance : instancesOf(cls)) {
-        if (instance.nextFree <= now)
-            return true;
-    }
-    return false;
+    auto pos = std::upper_bound(
+        list.begin(), list.end(), op,
+        [](const FuCompletion &a, const FuCompletion &b) {
+            return a.completeCycle != b.completeCycle
+                       ? a.completeCycle < b.completeCycle
+                       : a.seq < b.seq;
+        });
+    list.insert(pos, op);
 }
 
 Cycle
-FuPool::issue(FuClass cls, Tag seq, Cycle now, Cycle extra_latency)
+FuPool::issue(FuClass cls, Tag seq, Cycle now, Cycle extra_latency,
+              std::uint32_t slot)
 {
     auto cls_idx = static_cast<unsigned>(cls);
     unsigned latency = cfg.latency[cls_idx];
     bool pipelined = cfg.pipelined[cls_idx];
 
     // Lowest-numbered free instance first, so that "extra" units are
-    // only used under pressure (feeds the paper's Table 4).
+    // only used under pressure (feeds the paper's Table 4). The same
+    // pass finds the class's new earliest free cycle.
+    Cycle occupancy = pipelined ? 1 : latency;
+    bool started = false;
+    Cycle earliest = now + occupancy;
     for (Instance &instance : instancesOf(cls)) {
-        if (instance.nextFree > now)
-            continue;
-        Cycle occupancy = pipelined ? 1 : latency;
-        instance.nextFree = now + occupancy;
-        instance.busy += occupancy;
-        Cycle complete = now + latency + extra_latency;
-        bool counts = cls != FuClass::Store;
-        // The inflight list is a binary min-heap on (completion time,
-        // tag): O(log n) swaps here instead of a per-cycle sort (or a
-        // sorted-vector insert's memmove) keeps both ends of the
-        // queue cheap.
-        inflight.push_back({{seq, complete, cls, counts}, false});
-        std::push_heap(inflight.begin(), inflight.end(),
-                       inflightAfter);
+        if (!started && instance.nextFree <= now) {
+            instance.nextFree = now + occupancy;
+            instance.busy += occupancy;
+            started = true;
+        }
+        earliest = std::min(earliest, instance.nextFree);
+    }
+    if (!started)
+        panic("issue to %s without a free instance", fuClassName(cls));
+    earliestFree[cls_idx] = earliest;
+
+    Cycle complete = now + latency + extra_latency;
+    sdsp_assert(complete > drainedThrough,
+                "issue completing in an already drained cycle");
+    bool counts = cls != FuClass::Store;
+    ++inflight;
+    Bucket &bucket = wheel[complete % kWheelSlots];
+    if (complete - drainedThrough > kWheelSlots ||
+        bucket.count == kBucketSlots) {
+        insertSorted(overflow, {seq, complete, slot, cls, counts});
         return complete;
     }
-    panic("issue to %s without a free instance", fuClassName(cls));
-}
-
-void
-FuPool::drainCompletions(Cycle now, unsigned max_results,
-                         std::vector<FuCompletion> &out)
-{
-    // Pop due completions off the min-heap in (completion time, tag)
-    // order. A completion held back by the result-port limit is set
-    // aside and re-pushed afterwards, so store completions behind it
-    // (which consume no port) still drain this cycle — exactly the
-    // historical sorted-walk semantics.
-    unsigned drained = 0;
-    deferred.clear();
-    while (!inflight.empty()) {
-        if (inflight.front().completion.completeCycle > now)
-            break;
-        std::pop_heap(inflight.begin(), inflight.end(),
-                      inflightAfter);
-        Inflight op = inflight.back();
-        inflight.pop_back();
-        if (op.cancelled)
-            continue;
-        if (op.completion.countsAgainstWidth &&
-            drained >= max_results) {
-            // Result-port limit reached; waits for a later cycle.
-            deferred.push_back(op);
-            continue;
-        }
-        out.push_back(op.completion);
-        if (op.completion.countsAgainstWidth)
-            ++drained;
-    }
-    for (const Inflight &op : deferred) {
-        inflight.push_back(op);
-        std::push_heap(inflight.begin(), inflight.end(),
-                       inflightAfter);
-    }
-}
-
-void
-FuPool::cancel(Tag seq)
-{
-    for (Inflight &op : inflight) {
-        if (op.completion.seq == seq)
-            op.cancelled = true;
-    }
+    unsigned pos = bucket.count++;
+    for (; pos > 0 && bucket.ops[pos - 1].seq > seq; --pos)
+        bucket.ops[pos] = bucket.ops[pos - 1];
+    // Field by field: a whole-struct copy of a just-built temporary
+    // would reload it before its stores retire.
+    FuCompletion &op = bucket.ops[pos];
+    op.seq = seq;
+    op.completeCycle = complete;
+    op.slot = slot;
+    op.fuClass = cls;
+    op.countsAgainstWidth = counts;
+    ++wheelCount;
+    return complete;
 }
 
 unsigned

@@ -163,7 +163,8 @@ FetchUnit::fetchBlock(ThreadId tid, FetchedBlock &block)
 
     for (InstAddr i = pc; i < end; ++i) {
         const Instruction &inst = code[i];
-        FetchedInst slot;
+        // Built in place in the latch's reused storage.
+        FetchedInst &slot = block.insts.emplace_back();
         slot.pc = i;
         slot.inst = inst;
         slot.predictedNextPc = i + 1;
@@ -171,7 +172,6 @@ FetchUnit::fetchBlock(ThreadId tid, FetchedBlock &block)
         if (inst.isHalt()) {
             // Stop fetching this thread; resume only if this HALT
             // turns out to be on a squashed wrong path.
-            block.insts.push_back(slot);
             thread.stopped = true;
             statWastedSlots += end - i - 1;
             ++statBlocks;
@@ -183,7 +183,6 @@ FetchUnit::fetchBlock(ThreadId tid, FetchedBlock &block)
         if (inst.isDirectJump()) {
             slot.predictedTaken = true;
             slot.predictedNextPc = inst.staticTarget(i);
-            block.insts.push_back(slot);
             next_pc = slot.predictedNextPc;
             redirected = true;
             statWastedSlots += end - i - 1;
@@ -191,23 +190,18 @@ FetchUnit::fetchBlock(ThreadId tid, FetchedBlock &block)
         }
 
         if (inst.isCondBranch() || inst.isIndirectJump()) {
+            // A predicted-taken transfer ends the block; not taken
+            // (or a BTB miss) keeps filling it.
             BranchPrediction prediction = btb.predict(tid, i);
             if (prediction.hit && prediction.taken) {
                 slot.predictedTaken = true;
                 slot.predictedNextPc = prediction.target;
-                block.insts.push_back(slot);
                 next_pc = prediction.target;
                 redirected = true;
                 statWastedSlots += end - i - 1;
                 break;
             }
-            // Predicted not taken (or BTB miss): fall through and
-            // keep filling the block.
-            block.insts.push_back(slot);
-            continue;
         }
-
-        block.insts.push_back(slot);
     }
 
     if (!redirected)

@@ -150,7 +150,7 @@ Processor::commitStage()
     // whenever it is not the one committing it is incomplete.
     bool bottom_commits = selection.found && selection.blockIndex == 0;
     if (!bottom_commits) {
-        fetch.onCommitBlockedBottom(su.contents().front().tid);
+        fetch.onCommitBlockedBottom(su.block(0).tid);
         ++statCommitBlockedCycles;
     }
 
@@ -160,9 +160,9 @@ Processor::commitStage()
     if (selection.blockIndex > 0)
         ++statFlexCommits;
 
-    SuBlock block = su.removeBlock(selection.blockIndex);
+    const SuBlock &block = su.block(selection.blockIndex);
     Tag max_seq = 0;
-    for (const SuEntry &entry : block.entries) {
+    for (const SuEntry &entry : su.entries(selection.blockIndex)) {
         if (!entry.valid)
             continue;
         sdsp_assert(entry.state == EntryState::Done,
@@ -263,7 +263,7 @@ Processor::commitStage()
         sink->emit(ev);
     }
 
-    su.recycleBlock(std::move(block));
+    su.removeBlock(selection.blockIndex);
 }
 
 // --------------------------------------------------------------------
@@ -275,18 +275,15 @@ Processor::handleMispredict(SuEntry &entry)
 {
     ++statMispredicts;
 
-    // Copy before squashing: removing blocks from the SU deque
-    // invalidates references into it.
     ThreadId tid = entry.tid;
     Tag seq = entry.seq;
     InstAddr pc = entry.pc;
     InstAddr next_pc = entry.resolvedNextPc;
 
-    squashScratch.clear();
-    unsigned count = su.squashThread(tid, seq, &squashScratch);
+    // Operations of squashed entries still in a functional unit are
+    // dropped when they complete: writeback no longer finds them.
+    unsigned count = su.squashThread(tid, seq);
     statSquashed += count;
-    for (Tag squashed_seq : squashScratch)
-        fus.cancel(squashed_seq);
     sb.squash(tid, seq);
 
     // The fetch latch holds the youngest fetched block; if it belongs
@@ -314,12 +311,17 @@ void
 Processor::writebackStage()
 {
     completions.clear();
-    fus.drainCompletions(now, cfg.writebackWidth, completions);
+    fus.drainCompletions(now, cfg.writebackWidth, completions,
+                         [this](const FuCompletion &completion) {
+                             return su.entryAt(completion.slot,
+                                               completion.seq) != nullptr;
+                         });
 
     for (const FuCompletion &completion : completions) {
-        SuEntry *entry = su.findBySeq(completion.seq);
+        // A mispredict earlier in this loop may have squashed it.
+        SuEntry *entry = su.entryAt(completion.slot, completion.seq);
         if (!entry)
-            continue; // Squashed between completion and writeback.
+            continue;
 
         su.markDone(*entry);
         entry->completedAt = now;
@@ -336,8 +338,7 @@ Processor::writebackStage()
         }
 
         if (entry->inst.writesRd())
-            su.broadcast(completion.seq, entry->result, now,
-                         cfg.bypassing);
+            su.broadcast(*entry, entry->result, now, cfg.bypassing);
 
         if (entry->mispredicted)
             handleMispredict(*entry);
@@ -458,7 +459,7 @@ Processor::tryIssue(SuEntry &entry)
             // Loads on a speculative wrong path can carry garbage
             // addresses; they read a dummy value and are squashed
             // before commit.
-            bool in_bounds = addr % 8 == 0 && addr + 8 <= mem.size();
+            bool in_bounds = addr % 8 == 0 && wordInRange(addr, mem.size());
             entry.result = in_bounds ? mem.read(addr) : 0;
         }
     } else if (inst.isStore()) {
@@ -482,8 +483,7 @@ Processor::tryIssue(SuEntry &entry)
     }
 
     executeEntry(entry);
-    fus.issue(cls, entry.seq, now, extra_latency);
-    su.markIssued(entry);
+    fus.issue(cls, entry.seq, now, extra_latency, su.slotOf(entry));
     entry.issuedAt = now;
     ++statIssued;
     cycleFlags[entry.tid] |= kFlagProgress;
@@ -504,23 +504,10 @@ Processor::tryIssue(SuEntry &entry)
 void
 Processor::issueStage()
 {
-    unsigned issued = 0;
-    // The SU tracks how many entries are Ready; stop the oldest-first
-    // scan once all of them have been seen (and skip it entirely on
-    // the frequent cycles where nothing is ready).
-    unsigned remaining = su.readyEntries();
-    if (remaining > 0) {
-        su.forEachOldestFirst([&](SuEntry &entry) {
-            if (issued >= cfg.issueWidth)
-                return false;
-            if (entry.state != EntryState::Ready)
-                return true;
-            --remaining;
-            if (entry.earliestIssue <= now && tryIssue(entry))
-                ++issued;
-            return remaining > 0;
-        });
-    }
+    // Oldest-first over the Ready entries only.
+    unsigned issued = su.issueReady(cfg.issueWidth, [&](SuEntry &entry) {
+        return entry.earliestIssue <= now && tryIssue(entry);
+    });
     ++statIssueHistogram[issued];
 }
 
@@ -528,25 +515,14 @@ Processor::issueStage()
 // Dispatch (decode + rename)
 // --------------------------------------------------------------------
 
-Operand
-Processor::renameOperand(ThreadId tid, RegIndex reg,
-                         const std::vector<SuEntry> &partial_block)
+void
+Processor::renameOperand(ThreadId tid, RegIndex reg, Operand &operand)
 {
-    // Most recent matching writer wins: first the earlier
-    // instructions of the block being decoded (newest last), then the
-    // SU (newest first), then the committed register file.
-    const SuEntry *producer = nullptr;
-    for (auto it = partial_block.rbegin(); it != partial_block.rend();
-         ++it) {
-        if (it->valid && it->inst.writesRd() && it->inst.rd == reg) {
-            producer = &*it;
-            break;
-        }
-    }
-    if (!producer)
-        producer = su.findNewestWriter(tid, reg);
+    // Most recent in-flight writer wins (the earlier instructions of
+    // the block being dispatched are already resident), else the
+    // committed register file.
+    const SuEntry *producer = su.findNewestWriter(tid, reg);
 
-    Operand operand;
     if (!producer) {
         operand.ready = true;
         operand.value = regs.read(tid, reg);
@@ -556,8 +532,8 @@ Processor::renameOperand(ThreadId tid, RegIndex reg,
     } else {
         operand.ready = false;
         operand.tag = producer->seq;
+        operand.producer = su.slotOf(*producer);
     }
-    return operand;
 }
 
 void
@@ -595,32 +571,35 @@ Processor::dispatchStage()
         }
     }
 
-    SuBlock &block = su.beginDispatch(tid, nextSeq);
+    su.beginDispatch(tid, nextSeq);
 
+    // Locals, not members: the entry stores below must not alias the
+    // loads of the next iteration.
+    const Cycle cycle = now;
+    const Cycle fetched_at = fetched.fetchedAt;
+    Tag seq = nextSeq;
     for (const FetchedInst &slot : fetched.insts) {
-        // Build the entry in place. It stays valid=false while its
-        // operands rename so the partial-block scan in renameOperand
-        // cannot see the instruction as a producer of its own source.
-        SuEntry &entry = block.entries.emplace_back();
-        entry.seq = nextSeq++;
+        // Build the entry in place. It is not resident until
+        // finishEntry, so renaming its sources cannot see the
+        // instruction as a producer of its own source.
+        SuEntry &entry = su.appendEntry();
+        entry.seq = seq++;
         entry.tid = tid;
         entry.pc = slot.pc;
         entry.inst = slot.inst;
         entry.predictedTaken = slot.predictedTaken;
         entry.predictedNextPc = slot.predictedNextPc;
-        entry.fetchedAt = fetched.fetchedAt;
-        entry.dispatchedAt = now;
+        entry.fetchedAt = fetched_at;
+        entry.dispatchedAt = cycle;
 
         if (slot.inst.readsRs1())
-            entry.src1 = renameOperand(tid, slot.inst.rs1,
-                                       block.entries);
+            renameOperand(tid, slot.inst.rs1, entry.src1);
         if (slot.inst.readsRs2())
-            entry.src2 = renameOperand(tid, slot.inst.rs2,
-                                       block.entries);
+            renameOperand(tid, slot.inst.rs2, entry.src2);
 
         entry.state = entry.operandsReady() ? EntryState::Ready
                                             : EntryState::Waiting;
-        entry.earliestIssue = now + 1;
+        entry.earliestIssue = cycle + 1;
 
         // Dependence evidence: which producers this entry renamed
         // against, whether it was born ready, and why its block
@@ -628,7 +607,7 @@ Processor::dispatchStage()
         entry.waitTag1 = entry.src1.ready ? 0 : entry.src1.tag;
         entry.waitTag2 = entry.src2.ready ? 0 : entry.src2.tag;
         if (entry.state == EntryState::Ready)
-            entry.readyAt = now;
+            entry.readyAt = cycle;
         entry.dispatchWaitCause = latchWaitCause;
 
         // Conditional Switch: the decoder signals the fetch unit on
@@ -637,10 +616,11 @@ Processor::dispatchStage()
             fetch.onSwitchTrigger();
 
         entry.valid = true;
+        su.finishEntry(entry);
         ++statDispatched;
     }
+    nextSeq = seq;
 
-    su.finishDispatch();
     fetchLatchFull = false;
     latchWaitCause = DispatchWaitCause::None;
     cycleFlags[tid] |= kFlagProgress;

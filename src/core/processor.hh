@@ -322,9 +322,9 @@ class Processor
     /** Handle a resolved mispredicted control transfer. */
     void handleMispredict(SuEntry &entry);
 
-    /** Rename one source operand during dispatch. */
-    Operand renameOperand(ThreadId tid, RegIndex reg,
-                          const std::vector<SuEntry> &partial_block);
+    /** Rename one source operand during dispatch into @p operand
+     *  (a default, ready operand on entry). */
+    void renameOperand(ThreadId tid, RegIndex reg, Operand &operand);
 
     /** End of step(): charge every thread's cycle to exactly one
      *  StallReason and maintain the trace span/counter state. */
@@ -412,8 +412,6 @@ class Processor
 
     /** Scratch buffer reused by the writeback stage. */
     std::vector<FuCompletion> completions;
-    /** Scratch buffer reused by handleMispredict. */
-    std::vector<Tag> squashScratch;
 };
 
 } // namespace sdsp

@@ -1,6 +1,7 @@
 #include "core/su.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -10,20 +11,16 @@ namespace sdsp
 namespace
 {
 
-/** Smallest power of two >= @p n (and >= 2). */
-std::size_t
-nextPow2(std::size_t n)
-{
-    std::size_t p = 2;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
 Operand &
 operandOf(SuEntry &entry, unsigned op)
 {
     return op ? entry.src2 : entry.src1;
+}
+
+std::uint32_t
+waiterLink(SuSlot slot, unsigned op)
+{
+    return (slot << 1) | op;
 }
 
 } // namespace
@@ -37,265 +34,328 @@ SchedulingUnit::SchedulingUnit(unsigned num_blocks, unsigned block_size,
       regsPerThread(regs_per_thread)
 {
     sdsp_assert(num_blocks >= 1, "SU needs at least one block");
-    sdsp_assert(block_size >= 1, "block size must be positive");
+    sdsp_assert(std::has_single_bit(block_size),
+                "block size must be a power of two");
     sdsp_assert(num_threads >= 1, "SU needs at least one thread");
     sdsp_assert(regs_per_thread >= 1,
                 "SU needs at least one register per thread");
+    blockShift = static_cast<unsigned>(std::countr_zero(block_size));
 
-    blocks.reserve(capacityBlocks);
-    entryPool.reserve(capacityBlocks + 2);
+    std::size_t slots = static_cast<std::size_t>(num_blocks) * block_size;
+    sdsp_assert(slots < (std::size_t{1} << 31),
+                "SU too large for its slot links");
+    arena.resize(slots);
+    headers.resize(num_blocks);
+    order.reserve(num_blocks);
+    freeBlocks.reserve(num_blocks);
+    // Hand out low block numbers first.
+    for (unsigned b = num_blocks; b-- > 0;)
+        freeBlocks.push_back(b);
 
-    // Load factor stays below 1/4 with all entries resident, so
-    // probe chains are short and the map never grows during a run.
-    std::size_t slots = nextPow2(
-        std::max<std::size_t>(64, 4ull * num_blocks * block_size));
-    tagSlots.resize(slots);
-    tagMask = slots - 1;
-
-    writers.resize(static_cast<std::size_t>(num_threads) *
-                   regs_per_thread);
-    // A single (thread, register) list is bounded by the window, so
-    // pre-reserving makes every later push_back allocation-free.
-    for (auto &list : writers)
-        list.reserve(static_cast<std::size_t>(num_blocks) * block_size);
+    readyQueue.reserve(slots);
+    newestWriter.assign(static_cast<std::size_t>(num_threads) *
+                            regs_per_thread,
+                        kNoSlot);
     unbufferedStores.resize(num_threads);
     for (auto &list : unbufferedStores)
-        list.reserve(static_cast<std::size_t>(num_blocks) * block_size);
+        list.reserve(slots);
+    orphans.reserve(2 * slots);
 
     validPerThread.assign(num_threads, 0);
     pendingPerThread.assign(num_threads, 0);
 }
 
 // --------------------------------------------------------------------
-// Tag map
+// Lookup
 // --------------------------------------------------------------------
 
-SchedulingUnit::TagSlot *
-SchedulingUnit::findSlot(Tag seq)
+SuSlot
+SchedulingUnit::lookup(Tag seq) const
 {
-    std::size_t i = homeSlot(seq);
-    while (tagSlots[i].used) {
-        if (tagSlots[i].seq == seq)
-            return &tagSlots[i];
-        i = (i + 1) & tagMask;
+    // Blocks are resident in ascending tag order: find the last block
+    // starting at or below seq, then the entry inside it.
+    auto it = std::upper_bound(
+        order.begin(), order.end(), seq,
+        [this](Tag tag, std::uint32_t id) {
+            return tag < headers[id].blockSeq;
+        });
+    if (it == order.begin())
+        return kNoSlot;
+    std::uint32_t id = *(it - 1);
+    for (unsigned i = 0; i < headers[id].size; ++i) {
+        const SuEntry &entry = arena[firstSlot(id) + i];
+        if (entry.valid && entry.seq == seq)
+            return static_cast<SuSlot>(firstSlot(id) + i);
     }
-    return nullptr;
+    return kNoSlot;
 }
 
-const SchedulingUnit::TagSlot *
-SchedulingUnit::findSlot(Tag seq) const
+SuEntry *
+SchedulingUnit::findBySeq(Tag seq)
 {
-    return const_cast<SchedulingUnit *>(this)->findSlot(seq);
-}
-
-SchedulingUnit::TagSlot &
-SchedulingUnit::insertSlot(Tag seq)
-{
-    if ((tagCount + 1) * 4 > tagSlots.size())
-        growTagMap();
-    std::size_t i = homeSlot(seq);
-    while (tagSlots[i].used) {
-        if (tagSlots[i].seq == seq)
-            return tagSlots[i];
-        i = (i + 1) & tagMask;
-    }
-    tagSlots[i].used = true;
-    tagSlots[i].seq = seq;
-    tagSlots[i].entry = nullptr;
-    tagSlots[i].waitHead = {};
-    ++tagCount;
-    return tagSlots[i];
-}
-
-void
-SchedulingUnit::eraseSlot(Tag seq)
-{
-    std::size_t hole = homeSlot(seq);
-    for (;;) {
-        if (!tagSlots[hole].used)
-            return; // not present
-        if (tagSlots[hole].seq == seq)
-            break;
-        hole = (hole + 1) & tagMask;
-    }
-    --tagCount;
-    // Backward-shift deletion: pull displaced successors into the
-    // hole so lookups never need tombstones.
-    std::size_t j = hole;
-    for (;;) {
-        tagSlots[hole].used = false;
-        tagSlots[hole].entry = nullptr;
-        tagSlots[hole].waitHead = {};
-        for (;;) {
-            j = (j + 1) & tagMask;
-            if (!tagSlots[j].used)
-                return;
-            std::size_t home = homeSlot(tagSlots[j].seq);
-            // Slot j may fill the hole iff the hole lies on j's probe
-            // path, i.e. home .. j (cyclically) covers the hole.
-            if (((j - home) & tagMask) >= ((j - hole) & tagMask)) {
-                tagSlots[hole] = tagSlots[j];
-                hole = j;
-                break;
-            }
-        }
-    }
-}
-
-void
-SchedulingUnit::growTagMap()
-{
-    std::vector<TagSlot> old = std::move(tagSlots);
-    tagSlots.assign(old.size() * 2, TagSlot{});
-    tagMask = tagSlots.size() - 1;
-    tagCount = 0;
-    for (TagSlot &slot : old) {
-        if (!slot.used)
-            continue;
-        TagSlot &fresh = insertSlot(slot.seq);
-        fresh.entry = slot.entry;
-        fresh.waitHead = slot.waitHead;
-    }
+    SuSlot slot = lookup(seq);
+    return slot == kNoSlot ? nullptr : &arena[slot];
 }
 
 // --------------------------------------------------------------------
-// Index maintenance
+// Dispatch
 // --------------------------------------------------------------------
 
 void
-SchedulingUnit::indexBlock(SuBlock &block)
+SchedulingUnit::beginDispatch(ThreadId tid, Tag block_seq)
 {
-    for (SuEntry &entry : block.entries) {
-        if (!entry.valid)
-            continue;
-        ++validCount;
-        sdsp_assert(entry.tid < numThreads,
-                    "entry thread beyond SU's thread count");
-        ++validPerThread[entry.tid];
-        if (entry.state != EntryState::Done)
-            ++pendingPerThread[entry.tid];
-        if (entry.state == EntryState::Ready)
-            ++readyCount;
+    sdsp_assert(hasSpace(), "dispatch into a full SU");
+    sdsp_assert(order.empty() ||
+                    headers[order.back()].blockSeq < block_seq,
+                "dispatch out of tag order");
+    std::uint32_t id = freeBlocks.back();
+    freeBlocks.pop_back();
+    headers[id] = SuBlock{};
+    headers[id].tid = tid;
+    headers[id].blockSeq = block_seq;
+    order.push_back(id);
+}
 
-        insertSlot(entry.seq).entry = &entry;
-
-        if (entry.inst.writesRd()) {
-            sdsp_assert(entry.inst.rd < regsPerThread,
-                        "entry register beyond SU's partition");
-            std::vector<WriterRec> &list =
-                writers[writerIndex(entry.tid, entry.inst.rd)];
-            sdsp_assert(list.empty() || list.back().seq < entry.seq,
-                        "dispatch out of tag order");
-            list.push_back({entry.seq, &entry});
-        }
-
-        if (entry.inst.isStore() && !entry.storeBuffered) {
-            std::vector<Tag> &list = unbufferedStores[entry.tid];
-            sdsp_assert(list.empty() || list.back() < entry.seq,
-                        "store dispatch out of tag order");
-            list.push_back(entry.seq);
-        }
-
-        for (unsigned op = 0; op < 2; ++op) {
-            Operand &operand = operandOf(entry, op);
-            entry.nextWaiter[op] = {};
-            if (operand.ready)
-                continue;
-            sdsp_assert(operand.tag != kNoTag,
-                        "waiting operand without a tag");
-            TagSlot &producer = insertSlot(operand.tag);
-            entry.nextWaiter[op] = producer.waitHead;
-            producer.waitHead = {&entry,
-                                 static_cast<std::uint8_t>(op)};
-        }
-    }
+SuEntry &
+SchedulingUnit::appendEntry()
+{
+    sdsp_assert(!order.empty(), "appendEntry without beginDispatch");
+    SuBlock &block = headers[order.back()];
+    sdsp_assert(block.size < blockSize, "oversized block dispatched");
+    SuEntry &entry = arena[firstSlot(order.back()) + block.size];
+    ++block.size;
+    entry = SuEntry{};
+    return entry;
 }
 
 void
-SchedulingUnit::unlinkWaiter(Tag tag, const SuEntry &entry, unsigned op)
+SchedulingUnit::finishEntry(SuEntry &entry)
 {
-    TagSlot *slot = findSlot(tag);
-    if (!slot)
-        return; // producer already removed in the same squash pass
-    OperandRef *link = &slot->waitHead;
-    while (link->entry) {
-        if (link->entry == &entry && link->op == op) {
-            *link = entry.nextWaiter[op];
-            return;
-        }
-        link = &link->entry->nextWaiter[link->op];
+    SuSlot slot = slotOf(entry);
+    SuBlock &block = headers[blockOf(slot)];
+    sdsp_assert(blockOf(slot) == order.back() &&
+                    slot == firstSlot(order.back()) + block.size - 1,
+                "finishEntry on an entry appendEntry did not return");
+    if (!entry.valid)
+        return;
+    sdsp_assert(entry.tid == block.tid,
+                "entry thread differs from its block's");
+    sdsp_assert(entry.tid < numThreads,
+                "entry thread beyond SU's thread count");
+
+    ++validCount;
+    ++validPerThread[entry.tid];
+    ++block.live;
+    if (entry.state != EntryState::Done) {
+        ++pendingPerThread[entry.tid];
+        ++block.pending;
     }
-}
+    if (entry.state == EntryState::Ready) {
+        sdsp_assert(readyQueue.empty() ||
+                        readyQueue.back().seq < entry.seq,
+                    "dispatch out of tag order");
+        readyQueue.push_back({entry.seq, slot});
+    }
 
-void
-SchedulingUnit::unindexEntry(SuEntry &entry)
-{
-    --validCount;
-    --validPerThread[entry.tid];
-    if (entry.state != EntryState::Done)
-        --pendingPerThread[entry.tid];
-    if (entry.state == EntryState::Ready && readyCount > 0)
-        --readyCount;
-    eraseSlot(entry.seq);
-
+    entry.waitHead = kNoSlot;
+    entry.olderWriter = kNoSlot;
+    entry.youngerWriter = kNoSlot;
     if (entry.inst.writesRd()) {
-        std::vector<WriterRec> &list =
-            writers[writerIndex(entry.tid, entry.inst.rd)];
-        for (auto it = list.begin(); it != list.end(); ++it) {
-            if (it->seq == entry.seq) {
-                list.erase(it);
-                break;
-            }
+        sdsp_assert(entry.inst.rd < regsPerThread,
+                    "entry register beyond SU's partition");
+        SuSlot &newest = newestWriter[writerIndex(entry.tid,
+                                                  entry.inst.rd)];
+        if (newest != kNoSlot) {
+            sdsp_assert(arena[newest].seq < entry.seq,
+                        "dispatch out of tag order");
+            arena[newest].youngerWriter = slot;
         }
+        entry.olderWriter = newest;
+        newest = slot;
     }
 
     if (entry.inst.isStore() && !entry.storeBuffered) {
         std::vector<Tag> &list = unbufferedStores[entry.tid];
-        auto it = std::lower_bound(list.begin(), list.end(), entry.seq);
-        if (it != list.end() && *it == entry.seq)
-            list.erase(it);
+        sdsp_assert(list.empty() || list.back() < entry.seq,
+                    "store dispatch out of tag order");
+        list.push_back(entry.seq);
     }
 
-    // A removed entry may still be waiting (tests remove arbitrary
-    // blocks); detach it from its producers' chains.
     for (unsigned op = 0; op < 2; ++op) {
         Operand &operand = operandOf(entry, op);
-        if (!operand.ready)
-            unlinkWaiter(operand.tag, entry, op);
-        entry.nextWaiter[op] = {};
+        entry.nextWaiter[op] = kNoSlot;
+        if (operand.ready)
+            continue;
+        sdsp_assert(operand.tag != kNoTag,
+                    "waiting operand without a tag");
+        SuSlot producer = operand.producer;
+        if (producer >= arena.size() || !arena[producer].valid ||
+            arena[producer].seq != operand.tag) {
+            producer = lookup(operand.tag);
+        }
+        operand.producer = producer;
+        if (producer == kNoSlot) {
+            orphans.push_back({operand.tag, waiterLink(slot, op)});
+        } else {
+            entry.nextWaiter[op] = arena[producer].waitHead;
+            arena[producer].waitHead = waiterLink(slot, op);
+        }
+    }
+}
+
+void
+SchedulingUnit::dispatch(ThreadId tid,
+                         std::span<const SuEntry> block_entries)
+{
+    sdsp_assert(!block_entries.empty(), "dispatch of an empty block");
+    beginDispatch(tid, block_entries.front().seq);
+    for (const SuEntry &source : block_entries) {
+        SuEntry &entry = appendEntry();
+        entry = source;
+        finishEntry(entry);
     }
 }
 
 // --------------------------------------------------------------------
-// Block storage pool
+// Waiter chains, writer chains, ready queue
 // --------------------------------------------------------------------
 
-SuBlock
-SchedulingUnit::acquireBlock()
+void
+SchedulingUnit::wake(std::uint32_t waiter, Tag producer, RegVal value,
+                     Cycle now, Cycle earliest)
 {
-    SuBlock block;
-    if (!entryPool.empty()) {
-        block.entries = std::move(entryPool.back());
-        entryPool.pop_back();
-        block.entries.clear();
+    SuEntry &entry = arena[waiter >> 1];
+    Operand &operand = operandOf(entry, waiter & 1);
+    if (!entry.valid || entry.state != EntryState::Waiting ||
+        operand.ready || operand.tag != producer) {
+        return;
     }
-    block.entries.reserve(blockSize);
-    return block;
+    operand.ready = true;
+    operand.value = value;
+    operand.producer = kNoSlot;
+    if (!entry.operandsReady())
+        return;
+    entry.state = EntryState::Ready;
+    entry.earliestIssue = std::max(entry.earliestIssue, earliest);
+    entry.readyAt = now;
+    entry.wakeupTag = producer;
+    // Wakeups reach mostly recent entries: search from the back.
+    auto pos = readyQueue.end();
+    while (pos != readyQueue.begin() && (pos - 1)->seq > entry.seq)
+        --pos;
+    readyQueue.insert(pos, {entry.seq, waiter >> 1});
 }
 
 void
-SchedulingUnit::recycleBlock(SuBlock &&block)
+SchedulingUnit::broadcast(const SuEntry &producer, RegVal value,
+                          Cycle now, bool bypassing)
 {
-    recycleEntries(std::move(block.entries));
+    Cycle earliest = bypassing ? now : now + 1;
+    SuEntry &source = arena[slotOf(producer)];
+    std::uint32_t waiter = source.waitHead;
+    source.waitHead = kNoSlot;
+    while (waiter != kNoSlot) {
+        SuEntry &consumer = arena[waiter >> 1];
+        std::uint32_t next = consumer.nextWaiter[waiter & 1];
+        consumer.nextWaiter[waiter & 1] = kNoSlot;
+        wake(waiter, producer.seq, value, now, earliest);
+        waiter = next;
+    }
+    if (!orphans.empty()) {
+        // Orphaned waiters on this tag (direct SU use only) wake too.
+        broadcast(producer.seq, value, now, bypassing);
+    }
 }
 
 void
-SchedulingUnit::recycleEntries(std::vector<SuEntry> &&entries)
+SchedulingUnit::broadcast(Tag seq, RegVal value, Cycle now,
+                          bool bypassing)
 {
-    if (entryPool.size() < entryPool.capacity()) {
-        entries.clear();
-        entryPool.push_back(std::move(entries));
+    SuSlot slot = lookup(seq);
+    if (slot != kNoSlot && arena[slot].waitHead != kNoSlot) {
+        broadcast(arena[slot], value, now, bypassing);
+        return;
     }
+    Cycle earliest = bypassing ? now : now + 1;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < orphans.size(); ++i) {
+        if (orphans[i].tag == seq)
+            wake(orphans[i].waiter, seq, value, now, earliest);
+        else
+            orphans[kept++] = orphans[i];
+    }
+    orphans.resize(kept);
+}
+
+void
+SchedulingUnit::unlinkWaiter(SuSlot slot, unsigned op)
+{
+    std::uint32_t link = waiterLink(slot, op);
+    SuSlot producer = operandOf(arena[slot], op).producer;
+    if (producer == kNoSlot) {
+        auto it = std::find_if(orphans.begin(), orphans.end(),
+                               [link](const Orphan &orphan) {
+                                   return orphan.waiter == link;
+                               });
+        if (it != orphans.end())
+            orphans.erase(it);
+        return;
+    }
+    std::uint32_t *cursor = &arena[producer].waitHead;
+    while (*cursor != kNoSlot) {
+        if (*cursor == link) {
+            *cursor = arena[slot].nextWaiter[op];
+            break;
+        }
+        cursor = &arena[*cursor >> 1].nextWaiter[*cursor & 1];
+    }
+    arena[slot].nextWaiter[op] = kNoSlot;
+}
+
+void
+SchedulingUnit::orphanWaiters(SuSlot slot)
+{
+    SuEntry &source = arena[slot];
+    std::uint32_t waiter = source.waitHead;
+    source.waitHead = kNoSlot;
+    while (waiter != kNoSlot) {
+        SuEntry &consumer = arena[waiter >> 1];
+        std::uint32_t next = consumer.nextWaiter[waiter & 1];
+        consumer.nextWaiter[waiter & 1] = kNoSlot;
+        if (consumer.valid) {
+            operandOf(consumer, waiter & 1).producer = kNoSlot;
+            orphans.push_back({source.seq, waiter});
+        }
+        waiter = next;
+    }
+}
+
+void
+SchedulingUnit::unlinkWriter(SuSlot slot)
+{
+    SuEntry &entry = arena[slot];
+    if (entry.olderWriter != kNoSlot)
+        arena[entry.olderWriter].youngerWriter = entry.youngerWriter;
+    if (entry.youngerWriter != kNoSlot) {
+        arena[entry.youngerWriter].olderWriter = entry.olderWriter;
+    } else {
+        newestWriter[writerIndex(entry.tid, entry.inst.rd)] =
+            entry.olderWriter;
+    }
+    entry.olderWriter = kNoSlot;
+    entry.youngerWriter = kNoSlot;
+}
+
+void
+SchedulingUnit::dropReady(Tag seq)
+{
+    auto it = std::lower_bound(readyQueue.begin(), readyQueue.end(), seq,
+                               [](const ReadyRef &ref, Tag tag) {
+                                   return ref.seq < tag;
+                               });
+    sdsp_assert(it != readyQueue.end() && it->seq == seq,
+                "ready entry missing from the ready queue");
+    readyQueue.erase(it);
 }
 
 // --------------------------------------------------------------------
@@ -303,188 +363,95 @@ SchedulingUnit::recycleEntries(std::vector<SuEntry> &&entries)
 // --------------------------------------------------------------------
 
 void
-SchedulingUnit::dispatch(SuBlock block)
+SchedulingUnit::markDone(SuEntry &entry)
 {
-    sdsp_assert(hasSpace(), "dispatch into a full SU");
-    sdsp_assert(block.entries.size() <= blockSize,
-                "oversized block dispatched");
-    blocks.push_back(std::move(block));
-    // blocks was reserved to capacityBlocks, so entry addresses are
-    // stable from here until the entry leaves the window.
-    indexBlock(blocks.back());
-}
-
-SuBlock &
-SchedulingUnit::beginDispatch(ThreadId tid, Tag block_seq)
-{
-    sdsp_assert(hasSpace(), "dispatch into a full SU");
-    blocks.emplace_back();
-    SuBlock &block = blocks.back();
-    if (!entryPool.empty()) {
-        block.entries = std::move(entryPool.back());
-        entryPool.pop_back();
-        block.entries.clear();
+    if (entry.valid && entry.state != EntryState::Done) {
+        --pendingPerThread[entry.tid];
+        --headers[blockOf(slotOf(entry))].pending;
+        if (entry.state == EntryState::Ready)
+            dropReady(entry.seq);
     }
-    block.entries.reserve(blockSize);
-    block.tid = tid;
-    block.blockSeq = block_seq;
-    return block;
-}
-
-void
-SchedulingUnit::finishDispatch()
-{
-    sdsp_assert(!blocks.empty(),
-                "finishDispatch without beginDispatch");
-    sdsp_assert(blocks.back().entries.size() <= blockSize,
-                "oversized block dispatched");
-    indexBlock(blocks.back());
-}
-
-const SuEntry *
-SchedulingUnit::findNewestWriter(ThreadId tid, RegIndex reg) const
-{
-    sdsp_assert(tid < numThreads && reg < regsPerThread,
-                "operand lookup outside the SU's partition");
-    const std::vector<WriterRec> &list =
-        writers[writerIndex(tid, reg)];
-    return list.empty() ? nullptr : list.back().entry;
-}
-
-SuEntry *
-SchedulingUnit::findBySeq(Tag seq)
-{
-    TagSlot *slot = findSlot(seq);
-    return slot ? slot->entry : nullptr;
-}
-
-void
-SchedulingUnit::broadcast(Tag seq, RegVal value, Cycle now,
-                          bool bypassing)
-{
-    TagSlot *slot = findSlot(seq);
-    if (!slot)
-        return;
-
-    Cycle earliest = bypassing ? now : now + 1;
-    bool placeholder = slot->entry == nullptr;
-    OperandRef waiter = slot->waitHead;
-    slot->waitHead = {};
-
-    while (waiter.entry) {
-        SuEntry &entry = *waiter.entry;
-        Operand &operand = operandOf(entry, waiter.op);
-        OperandRef next = entry.nextWaiter[waiter.op];
-        entry.nextWaiter[waiter.op] = {};
-        waiter = next;
-
-        if (!entry.valid || entry.state != EntryState::Waiting ||
-            operand.ready || operand.tag != seq) {
-            continue;
-        }
-        operand.ready = true;
-        operand.value = value;
-        if (entry.operandsReady()) {
-            entry.state = EntryState::Ready;
-            ++readyCount;
-            entry.earliestIssue =
-                std::max(entry.earliestIssue, earliest);
-            entry.readyAt = now;
-            entry.wakeupTag = seq;
-        }
-    }
-
-    // A placeholder slot (no resident producer) exists only to hold
-    // its chain; reclaim it once the chain drains.
-    if (placeholder)
-        eraseSlot(seq);
+    entry.state = EntryState::Done;
 }
 
 unsigned
 SchedulingUnit::squashThread(ThreadId tid, Tag after,
                              std::vector<Tag> *squashed_seqs)
 {
-    if (squashed_seqs)
-        squashed_seqs->reserve(squashed_seqs->size() + validCount);
-
     unsigned squashed = 0;
-    for (auto &block : blocks) {
+    bool any_ready = false;
+    // First invalidate every doomed entry, oldest first, and take it
+    // out of every index.
+    for (std::uint32_t id : order) {
+        SuBlock &block = headers[id];
         if (block.tid != tid)
             continue;
-        for (auto &entry : block.entries) {
+        for (unsigned i = 0; i < block.size; ++i) {
+            SuSlot slot = static_cast<SuSlot>(firstSlot(id) + i);
+            SuEntry &entry = arena[slot];
             if (!entry.valid || entry.seq <= after)
                 continue;
             entry.valid = false;
             --validCount;
             --validPerThread[tid];
-            if (entry.state != EntryState::Done)
+            --block.live;
+            if (entry.state != EntryState::Done) {
                 --pendingPerThread[tid];
-            if (entry.state == EntryState::Ready && readyCount > 0)
-                --readyCount;
+                --block.pending;
+            }
+            any_ready |= entry.state == EntryState::Ready;
             ++squashed;
             if (squashed_seqs)
                 squashed_seqs->push_back(entry.seq);
 
-            // Purge the squashed tag from every index: the writer
-            // table (squash removes a per-register suffix, since all
-            // younger same-thread writers die with it), ...
-            if (entry.inst.writesRd()) {
-                std::vector<WriterRec> &list =
-                    writers[writerIndex(tid, entry.inst.rd)];
-                while (!list.empty() && list.back().seq > after)
-                    list.pop_back();
-            }
-            // ... the unbuffered-store list (same suffix argument),
+            // Squash removes a per-thread suffix: every younger
+            // same-thread writer and unbuffered store dies with it.
+            if (entry.inst.writesRd())
+                unlinkWriter(slot);
             if (entry.inst.isStore() && !entry.storeBuffered) {
                 std::vector<Tag> &list = unbufferedStores[tid];
                 while (!list.empty() && list.back() > after)
                     list.pop_back();
             }
-            // ... the waiter chains it sits in, and the tag map.
             for (unsigned op = 0; op < 2; ++op) {
-                Operand &operand = operandOf(entry, op);
-                if (!operand.ready)
-                    unlinkWaiter(operand.tag, entry, op);
-                entry.nextWaiter[op] = {};
+                if (!operandOf(entry, op).ready)
+                    unlinkWaiter(slot, op);
             }
-
-            // Retire the squashed entry's own tag slot. Its waiter
-            // chain can still hold consumers dying in this same pass
-            // (same-thread younger entries, visited later) — prune
-            // those now. Any survivor keeps the slot alive as a
-            // placeholder so a later broadcast of the (now stale) tag
-            // still reaches it, exactly as the scan-based SU would.
-            TagSlot *slot = findSlot(entry.seq);
-            sdsp_assert(slot && slot->entry == &entry,
-                        "squashed entry missing from the tag map");
-            OperandRef *link = &slot->waitHead;
-            while (link->entry) {
-                SuEntry &waiter = *link->entry;
-                if (!waiter.valid ||
-                    (waiter.tid == tid && waiter.seq > after)) {
-                    OperandRef next = waiter.nextWaiter[link->op];
-                    waiter.nextWaiter[link->op] = {};
-                    *link = next;
-                } else {
-                    link = &waiter.nextWaiter[link->op];
-                }
-            }
-            if (slot->waitHead.entry)
-                slot->entry = nullptr; // placeholder for survivors
-            else
-                eraseSlot(entry.seq);
         }
     }
+    if (squashed == 0)
+        return 0;
 
-    // Drop fully squashed blocks (recycling their entry storage).
-    for (auto it = blocks.begin(); it != blocks.end();) {
-        if (it->tid == tid && it->blockSeq > after && !it->anyValid()) {
-            recycleEntries(std::move(it->entries));
-            it = blocks.erase(it);
-        } else {
-            ++it;
+    // Then a dead producer's chain keeps only survivors, which wait
+    // on another thread's tag (possible only by driving the SU
+    // directly): they move to the orphan list, so a later broadcast
+    // of the tag still wakes them, exactly as the scan-based SU
+    // would. Every dying waiter is already invalid.
+    for (std::uint32_t id : order) {
+        if (headers[id].tid != tid)
+            continue;
+        for (unsigned i = 0; i < headers[id].size; ++i) {
+            SuSlot slot = static_cast<SuSlot>(firstSlot(id) + i);
+            if (arena[slot].waitHead != kNoSlot && !arena[slot].valid)
+                orphanWaiters(slot);
         }
     }
+    if (any_ready) {
+        std::erase_if(readyQueue, [this](const ReadyRef &ref) {
+            return !arena[ref.slot].valid;
+        });
+    }
+
+    // Drop fully squashed blocks.
+    std::size_t kept = 0;
+    for (std::uint32_t id : order) {
+        const SuBlock &block = headers[id];
+        if (block.tid == tid && block.blockSeq > after && !block.anyValid())
+            freeBlocks.push_back(id);
+        else
+            order[kept++] = id;
+    }
+    order.resize(kept);
     return squashed;
 }
 
@@ -492,7 +459,7 @@ CommitSelection
 SchedulingUnit::selectCommit(unsigned window_blocks) const
 {
     std::size_t window = std::min<std::size_t>(window_blocks,
-                                               blocks.size());
+                                               order.size());
     // Single bottom-up pass: a complete block commits iff no
     // incomplete block strictly below belongs to the same thread
     // (paper section 3.5), so it suffices to carry the set of
@@ -500,7 +467,7 @@ SchedulingUnit::selectCommit(unsigned window_blocks) const
     if (numThreads <= 64) {
         std::uint64_t incomplete_tids = 0;
         for (std::size_t i = 0; i < window; ++i) {
-            const SuBlock &candidate = blocks[i];
+            const SuBlock &candidate = headers[order[i]];
             if (candidate.complete()) {
                 if (!((incomplete_tids >> candidate.tid) & 1))
                     return {true, i};
@@ -512,12 +479,13 @@ SchedulingUnit::selectCommit(unsigned window_blocks) const
     }
     // Arbitrary thread counts (direct SU use): quadratic rescan.
     for (std::size_t i = 0; i < window; ++i) {
-        const SuBlock &candidate = blocks[i];
+        const SuBlock &candidate = headers[order[i]];
         if (!candidate.complete())
             continue;
         bool blocked = false;
         for (std::size_t j = 0; j < i; ++j) {
-            if (!blocks[j].complete() && blocks[j].tid == candidate.tid) {
+            const SuBlock &below = headers[order[j]];
+            if (!below.complete() && below.tid == candidate.tid) {
                 blocked = true;
                 break;
             }
@@ -531,16 +499,44 @@ SchedulingUnit::selectCommit(unsigned window_blocks) const
 SuBlock
 SchedulingUnit::removeBlock(std::size_t block_index)
 {
-    sdsp_assert(block_index < blocks.size(),
+    sdsp_assert(block_index < order.size(),
                 "removeBlock index out of range");
-    SuBlock block = std::move(blocks[block_index]);
-    blocks.erase(blocks.begin() +
-                 static_cast<std::ptrdiff_t>(block_index));
-    for (SuEntry &entry : block.entries) {
-        if (entry.valid)
-            unindexEntry(entry);
+    std::uint32_t id = order[block_index];
+    SuBlock &block = headers[id];
+    for (unsigned i = 0; i < block.size; ++i) {
+        SuSlot slot = static_cast<SuSlot>(firstSlot(id) + i);
+        SuEntry &entry = arena[slot];
+        if (!entry.valid)
+            continue;
+        --validCount;
+        --validPerThread[entry.tid];
+        if (entry.state != EntryState::Done)
+            --pendingPerThread[entry.tid];
+        if (entry.state == EntryState::Ready)
+            dropReady(entry.seq);
+        if (entry.inst.writesRd())
+            unlinkWriter(slot);
+        if (entry.inst.isStore() && !entry.storeBuffered) {
+            std::vector<Tag> &list = unbufferedStores[entry.tid];
+            auto it =
+                std::lower_bound(list.begin(), list.end(), entry.seq);
+            if (it != list.end() && *it == entry.seq)
+                list.erase(it);
+        }
+        // A removed entry may still be waiting, or still be waited on
+        // (tests remove arbitrary blocks); keep every chain exact.
+        for (unsigned op = 0; op < 2; ++op) {
+            if (!operandOf(entry, op).ready)
+                unlinkWaiter(slot, op);
+        }
+        entry.valid = false;
+        if (entry.waitHead != kNoSlot)
+            orphanWaiters(slot);
     }
-    return block;
+    SuBlock removed = block;
+    order.erase(order.begin() + static_cast<std::ptrdiff_t>(block_index));
+    freeBlocks.push_back(id);
+    return removed;
 }
 
 void

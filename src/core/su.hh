@@ -17,20 +17,27 @@
  *  - Flexible Result Commit may retire any of the bottom four blocks
  *    whose thread differs from every incomplete block below it.
  *
- * Implementation: the architectural model is a linear window, but the
- * hot-path queries are served from incremental indices kept exactly in
- * sync with it (DESIGN.md, "Simulator performance"):
- *  - a tag -> entry open-addressing map (findBySeq, broadcast);
- *  - a per-(thread, register) newest-writer table (findNewestWriter);
- *  - intrusive per-tag waiter chains so broadcast touches only the
- *    consumers of a result instead of every resident entry;
- *  - per-thread sorted lists of unbuffered store tags for the two
- *    O(1) memory-disambiguation queries.
- * Entry storage is pooled: recycled fixed-capacity vectors back
- * SuBlock::entries, so the steady-state cycle loop performs no heap
- * allocation. All indices rely on entry addresses being stable, which
- * holds because entry vectors never grow after dispatch and only the
- * SuBlock headers (not their heap buffers) move inside the window.
+ * Implementation: the architectural model is a linear window, but no
+ * hot-path query searches it (DESIGN.md, "Simulator performance").
+ * Entries live in one fixed arena of capacity-blocks x block-size
+ * slots; a resident block owns one run of block-size slots, so an
+ * entry's slot is its address for the whole time it is resident, and
+ * the window's bottom-to-top order is a short list of block numbers.
+ * Everything that names an entry names its slot:
+ *  - the FU pool returns each completion with its producer's slot;
+ *  - a waiting operand holds its producer's slot, and each producer
+ *    heads an intrusive chain of the operands waiting on it, so a
+ *    broadcast touches only those consumers;
+ *  - each writer links to the next older and younger in-flight writer
+ *    of its (thread, register), and a per-(thread, register) table
+ *    holds the newest one (findNewestWriter);
+ *  - the Ready entries form a tag-ordered queue that the issue stage
+ *    walks instead of the window;
+ *  - each block counts its valid entries that are not yet Done, so
+ *    SuBlock::complete() is one comparison.
+ * Per-thread sorted lists of unbuffered store tags serve the two O(1)
+ * memory-disambiguation queries. All storage is sized at construction:
+ * the steady-state cycle loop performs no heap allocation.
  */
 
 #ifndef SDSP_CORE_SU_HH
@@ -38,8 +45,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
-#include <utility>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -51,6 +58,12 @@
 
 namespace sdsp
 {
+
+/** Index of an entry slot in the SU's arena. */
+using SuSlot = std::uint32_t;
+
+/** "No slot": the end of a chain, or a producer that is not resident. */
+inline constexpr SuSlot kNoSlot = ~SuSlot{0};
 
 /** Execution state of one SU entry. */
 enum class EntryState : std::uint8_t
@@ -67,33 +80,55 @@ struct Operand
     bool ready = true;
     RegVal value = 0;
     Tag tag = kNoTag;
+    /**
+     * While waiting: the slot of the producer whose waiter chain holds
+     * this operand, or kNoSlot when the producer is not resident. The
+     * renamer sets it from the producer it found; the SU resolves a
+     * missing or stale value from the tag when the entry is entered.
+     */
+    SuSlot producer = kNoSlot;
 };
 
-struct SuEntry;
-
-/** Reference to one source operand of one entry (waiter-chain node). */
-struct OperandRef
-{
-    SuEntry *entry = nullptr;
-    std::uint8_t op = 0; //!< 0 = src1, 1 = src2
-};
-
-/** One instruction resident in the scheduling unit. */
+/**
+ * One instruction resident in the scheduling unit. The fields every
+ * stage touches (state, tag, links, issue timing) come first, so they
+ * share the entry's first cache line.
+ */
 struct SuEntry
 {
     bool valid = false; //!< false: empty or squashed slot
-    Tag seq = 0;        //!< unique renaming tag / age
     ThreadId tid = 0;
+    EntryState state = EntryState::Waiting;
+    bool storeBuffered = false; //!< store deposited in store buffer
+                                //!< (set via markStoreBuffered)
+    Tag seq = 0;                //!< unique renaming tag / age
+
+    // ---- Links, managed by the SchedulingUnit. A waiter link
+    // encodes (slot << 1) | operand, operand 0 = src1, 1 = src2. ----
+    /** First operand waiting on this entry's result. */
+    std::uint32_t waitHead = kNoSlot;
+    /** Next operand waiting on the same producer as src1 / src2. */
+    std::uint32_t nextWaiter[2] = {kNoSlot, kNoSlot};
+    /** Neighbouring in-flight writers of the same (thread, rd). */
+    SuSlot olderWriter = kNoSlot;
+    SuSlot youngerWriter = kNoSlot;
+
     InstAddr pc = 0;
     Instruction inst;
-    EntryState state = EntryState::Waiting;
+
+    /** Earliest cycle this entry may issue (bypassing control). */
+    Cycle earliestIssue = 0;
+
+    // ---- Control transfer bookkeeping ----
+    bool predictedTaken = false;
+    bool resolvedTaken = false;
+    bool mispredicted = false;
+    InstAddr predictedNextPc = 0; //!< PC fetch continued from
+    InstAddr resolvedNextPc = 0;
 
     Operand src1;
     Operand src2;
     RegVal result = 0;
-
-    /** Earliest cycle this entry may issue (bypassing control). */
-    Cycle earliestIssue = 0;
 
     // ---- Lifecycle timestamps (observability) ----
     Cycle fetchedAt = 0;   //!< cycle the block entered the fetch latch
@@ -113,56 +148,25 @@ struct SuEntry
     IssueBlockCause issueBlockCause = IssueBlockCause::None;
     DispatchWaitCause dispatchWaitCause = DispatchWaitCause::None;
 
-    // ---- Control transfer bookkeeping ----
-    bool predictedTaken = false;
-    InstAddr predictedNextPc = 0; //!< PC fetch continued from
-    bool resolvedTaken = false;
-    InstAddr resolvedNextPc = 0;
-    bool mispredicted = false;
-
-    // ---- Memory bookkeeping ----
-    bool storeBuffered = false; //!< store deposited in store buffer
-                                //!< (set via markStoreBuffered)
-
-    /**
-     * Waiter-chain links, managed by the SchedulingUnit: the next
-     * consumer operand waiting on the same producer tag as this
-     * entry's src1 (index 0) / src2 (index 1).
-     */
-    OperandRef nextWaiter[2];
-
     /** All sources present? */
     bool operandsReady() const { return src1.ready && src2.ready; }
 };
 
-/** One SU block: a fetch block's worth of entries, all same thread. */
+/** One SU block header: a fetch block's worth of entries, all of one
+ *  thread, stored in consecutive arena slots. */
 struct SuBlock
 {
     ThreadId tid = 0;
-    Tag blockSeq = 0; //!< seq of the first (oldest) entry
-    std::vector<SuEntry> entries;
+    Tag blockSeq = 0;     //!< seq of the first (oldest) entry
+    unsigned size = 0;    //!< entries dispatched into the block
+    unsigned live = 0;    //!< valid entries
+    unsigned pending = 0; //!< valid entries not yet Done
 
     /** All valid entries executed to completion? */
-    bool
-    complete() const
-    {
-        for (const auto &entry : entries) {
-            if (entry.valid && entry.state != EntryState::Done)
-                return false;
-        }
-        return true;
-    }
+    bool complete() const { return pending == 0; }
 
     /** Any valid entries left (false after a full squash)? */
-    bool
-    anyValid() const
-    {
-        for (const auto &entry : entries) {
-            if (entry.valid)
-                return true;
-        }
-        return false;
-    }
+    bool anyValid() const { return live > 0; }
 };
 
 /** Outcome of the commit-selection scan. */
@@ -180,7 +184,7 @@ class SchedulingUnit
     /**
      * @param num_blocks      Capacity in blocks (suEntries /
      *                        blockSize).
-     * @param block_size      Instructions per block.
+     * @param block_size      Instructions per block (a power of two).
      * @param num_threads     Hardware threads (sizes the newest-writer
      *                        table and the disambiguation lists).
      * @param regs_per_thread Architectural registers per thread.
@@ -190,13 +194,29 @@ class SchedulingUnit
                    unsigned regs_per_thread = 64);
 
     /** Room for one more block? */
-    bool hasSpace() const { return blocks.size() < capacityBlocks; }
+    bool hasSpace() const { return order.size() < capacityBlocks; }
 
     /** No blocks resident? */
-    bool empty() const { return blocks.empty(); }
+    bool empty() const { return order.empty(); }
 
-    /** Resident blocks, bottom (oldest) first. */
-    const std::vector<SuBlock> &contents() const { return blocks; }
+    /** Resident blocks. */
+    std::size_t blockCount() const { return order.size(); }
+
+    /** Header of resident block @p index (0 = bottom, oldest). */
+    const SuBlock &
+    block(std::size_t index) const
+    {
+        return headers[order[index]];
+    }
+
+    /** Entries of resident block @p index, in program order
+     *  (squashed ones included, with valid == false). */
+    std::span<const SuEntry>
+    entries(std::size_t index) const
+    {
+        return {arena.data() + firstSlot(order[index]),
+                headers[order[index]].size};
+    }
 
     /** Occupied entries (valid only). */
     unsigned occupancy() const { return validCount; }
@@ -217,72 +237,51 @@ class SchedulingUnit
         return pendingPerThread[tid];
     }
 
-    /** Transition @p entry to Done, keeping the per-thread pending
-     *  count in sync. The writeback stage must use this instead of
-     *  writing entry.state directly. */
-    void
-    markDone(SuEntry &entry)
-    {
-        if (entry.state != EntryState::Done && entry.valid)
-            --pendingPerThread[entry.tid];
-        if (entry.state == EntryState::Ready && entry.valid &&
-            readyCount > 0) {
-            --readyCount;
-        }
-        entry.state = EntryState::Done;
-    }
-
-    /** Transition @p entry from Ready to Issued, keeping the ready
-     *  count in sync. The issue stage must use this instead of
-     *  writing entry.state directly. */
-    void
-    markIssued(SuEntry &entry)
-    {
-        if (entry.state == EntryState::Ready && entry.valid &&
-            readyCount > 0) {
-            --readyCount;
-        }
-        entry.state = EntryState::Issued;
-    }
-
-    /** Valid entries currently in the Ready state. The issue stage
-     *  scans only until it has seen this many, which turns the
-     *  common nothing-is-ready cycle into a constant-time check. */
-    unsigned readyEntries() const { return readyCount; }
+    /** Transition @p entry to Done, keeping the pending counts and
+     *  the ready queue in sync. The writeback stage must use this
+     *  instead of writing entry.state directly. */
+    void markDone(SuEntry &entry);
 
     /**
-     * Take a block with pooled (recycled) entry storage. Fill it and
-     * pass it to dispatch(); in steady state this allocates nothing.
+     * Open a new block at the top for thread @p tid whose first entry
+     * will carry tag @p block_seq. Fill it with appendEntry() /
+     * finishEntry(). Caller checked hasSpace().
      */
-    SuBlock acquireBlock();
+    void beginDispatch(ThreadId tid, Tag block_seq);
 
     /**
-     * Return a committed block's entry storage to the pool (after
-     * removeBlock).
+     * Reset the next slot of the block opened by beginDispatch() and
+     * return it for filling. Until finishEntry(), the entry is not
+     * indexed: operand lookups for its own sources see only older
+     * entries.
      */
-    void recycleBlock(SuBlock &&block);
-
-    /** Append a decoded block at the top. Caller checked hasSpace(). */
-    void dispatch(SuBlock block);
+    SuEntry &appendEntry();
 
     /**
-     * In-place dispatch, avoiding the block move of dispatch():
-     * append an empty block (pooled entry storage) at the top and
-     * return it for direct filling. The block is not indexed until
-     * finishDispatch(), so operand lookups during renaming still see
-     * only older entries. Caller checked hasSpace().
+     * Make a filled entry (valid, tag, thread, instruction, operands,
+     * state) resident: it becomes the newest writer of its register,
+     * joins its producers' waiter chains, and enters the ready queue
+     * if Ready.
      */
-    SuBlock &beginDispatch(ThreadId tid, Tag block_seq);
+    void finishEntry(SuEntry &entry);
 
-    /** Index the block returned by beginDispatch(). */
-    void finishDispatch();
+    /** Append a block holding copies of @p block_entries (program
+     *  order, at least one) at the top. Caller checked hasSpace(). */
+    void dispatch(ThreadId tid, std::span<const SuEntry> block_entries);
 
     /**
      * Operand lookup for the decoder: find the newest in-flight
      * writer of (tid, reg). @return the producing entry, or nullptr
      * if the value should come from the register file.
      */
-    const SuEntry *findNewestWriter(ThreadId tid, RegIndex reg) const;
+    const SuEntry *
+    findNewestWriter(ThreadId tid, RegIndex reg) const
+    {
+        sdsp_assert(tid < numThreads && reg < regsPerThread,
+                    "operand lookup outside the SU's partition");
+        SuSlot slot = newestWriter[writerIndex(tid, reg)];
+        return slot == kNoSlot ? nullptr : &arena[slot];
+    }
 
     /** Is there any in-flight entry of @p tid writing @p reg?
      *  (1-bit scoreboard dispatch check.) */
@@ -292,30 +291,91 @@ class SchedulingUnit
         return findNewestWriter(tid, reg) != nullptr;
     }
 
-    /** Locate an entry by its unique tag. @return nullptr if gone
-     *  (squashed). */
+    /** Slot of a resident entry. */
+    SuSlot
+    slotOf(const SuEntry &entry) const
+    {
+        return static_cast<SuSlot>(&entry - arena.data());
+    }
+
+    /** The resident entry in @p slot if it still carries tag @p seq;
+     *  nullptr once that entry was squashed or left the window. */
+    SuEntry *
+    entryAt(SuSlot slot, Tag seq)
+    {
+        SuEntry &entry = arena[slot];
+        return entry.valid && entry.seq == seq ? &entry : nullptr;
+    }
+
+    /** Locate an entry by its unique tag (a search over the resident
+     *  blocks, for tests and diagnostics). @return nullptr if gone. */
     SuEntry *findBySeq(Tag seq);
 
     /**
-     * Broadcast a result: every waiting operand with a matching tag
+     * Broadcast @p producer's result: every operand waiting on it
      * receives the value.
      *
-     * @param seq            Producer's tag.
-     * @param value          Result value.
-     * @param now            Current cycle.
-     * @param bypassing      If false, woken entries may issue only
-     *                       from the next cycle.
+     * @param producer  Resident entry whose result is written back.
+     * @param value     Result value.
+     * @param now       Current cycle.
+     * @param bypassing If false, woken entries may issue only from
+     *                  the next cycle.
      */
+    void broadcast(const SuEntry &producer, RegVal value, Cycle now,
+                   bool bypassing);
+
+    /** Broadcast by tag: as above, and the producer need not be
+     *  resident (waiters on a squashed or unknown tag still wake,
+     *  exactly as a scan over the window would wake them). */
     void broadcast(Tag seq, RegVal value, Cycle now, bool bypassing);
+
+    /**
+     * Walk the Ready entries oldest-first (ascending tag) and offer
+     * each to @p try_issue, until @p max_issue of them issued. An
+     * entry for which try_issue returns true becomes Issued and
+     * leaves the ready queue; the others stay Ready. try_issue must
+     * not dispatch, squash, broadcast or remove blocks.
+     * @return Entries issued.
+     */
+    template <typename TryIssue>
+    unsigned
+    issueReady(unsigned max_issue, TryIssue &&try_issue)
+    {
+        unsigned issued = 0;
+        std::size_t kept = 0;
+        std::size_t next = 0;
+        const std::size_t count = readyQueue.size();
+        for (; next < count && issued < max_issue; ++next) {
+            ReadyRef ref = readyQueue[next];
+            SuEntry &entry = arena[ref.slot];
+            if (try_issue(entry)) {
+                entry.state = EntryState::Issued;
+                ++issued;
+            } else {
+                readyQueue[kept++] = ref;
+            }
+        }
+        if (kept != next) {
+            readyQueue.erase(readyQueue.begin() +
+                                 static_cast<std::ptrdiff_t>(kept),
+                             readyQueue.begin() +
+                                 static_cast<std::ptrdiff_t>(next));
+        }
+        return issued;
+    }
+
+    /** Ready entries (the length of the ready queue). */
+    std::size_t readyEntries() const { return readyQueue.size(); }
 
     /**
      * Selective squash after a mispredicted control transfer of
      * thread @p tid: invalidate every same-thread entry with
-     * seq > @p after and drop emptied blocks.
+     * seq > @p after and drop emptied blocks. Operations of squashed
+     * entries still in a functional unit are dropped when they
+     * complete (entryAt() no longer finds them).
      *
      * @param squashed_seqs If non-null, receives the tags of all
-     *                      squashed entries (to cancel in-flight FU
-     *                      operations).
+     *                      squashed entries, oldest first.
      * @return Number of entries squashed.
      */
     unsigned squashThread(ThreadId tid, Tag after,
@@ -329,7 +389,8 @@ class SchedulingUnit
      */
     CommitSelection selectCommit(unsigned window_blocks) const;
 
-    /** Remove the block at @p block_index (after committing it). */
+    /** Remove the block at @p block_index (after committing it) and
+     *  return its header. Its entries leave every index. */
     SuBlock removeBlock(std::size_t block_index);
 
     /** Record that @p entry's store was deposited in the store
@@ -383,25 +444,16 @@ class SchedulingUnit
     std::size_t
     countUnbufferedStoresThrough(const SuEntry &target) const
     {
-        // Tags are assigned in dispatch order, so the block list is
-        // ascending in blockSeq and each block covers the contiguous
-        // tag range [blockSeq, blockSeq + entries.size()). Locate the
-        // target's block by binary search and count, in the sorted
-        // per-thread disambiguation lists, every unbuffered store
-        // whose tag falls below the end of that range. The target is
-        // itself an unbuffered store below the bound — exclude it.
-        // Equivalent to (but much cheaper than) walking every entry
-        // of every block up to and including the target's.
-        auto it = std::upper_bound(
-            blocks.begin(), blocks.end(), target.seq,
-            [](Tag seq, const SuBlock &block) {
-                return seq < block.blockSeq;
-            });
-        sdsp_assert(it != blocks.begin(),
-                    "store entry not resident in the SU");
-        const SuBlock &home = *(it - 1);
-        Tag bound = home.blockSeq + home.entries.size();
-        sdsp_assert(target.seq < bound,
+        // Tags are assigned in dispatch order, so each block covers
+        // the contiguous tag range [blockSeq, blockSeq + size) and
+        // every block below it holds smaller tags. Count, in the
+        // sorted per-thread disambiguation lists, every unbuffered
+        // store whose tag falls below the end of the target's block.
+        // The target is itself an unbuffered store below the bound —
+        // exclude it.
+        const SuBlock &home = headers[blockOf(slotOf(target))];
+        Tag bound = home.blockSeq + home.size;
+        sdsp_assert(target.valid && target.seq < bound,
                     "store entry not resident in the SU");
         std::size_t count = 0;
         for (const std::vector<Tag> &list : unbufferedStores) {
@@ -416,66 +468,51 @@ class SchedulingUnit
 
     /**
      * Iterate entries oldest-first (bottom block first, in-block
-     * program order); used by the issue stage. The visitor returns
-     * false to stop early. Templated so the per-entry call inlines
-     * into the issue loop.
+     * program order). The visitor returns false to stop early.
      */
     template <typename Visitor>
     void
     forEachOldestFirst(Visitor &&visit)
     {
-        for (auto &block : blocks) {
-            for (auto &entry : block.entries) {
-                if (!entry.valid)
+        for (std::uint32_t id : order) {
+            SuEntry *first = arena.data() + firstSlot(id);
+            for (unsigned i = 0; i < headers[id].size; ++i) {
+                if (!first[i].valid)
                     continue;
-                if (!visit(entry))
+                if (!visit(first[i]))
                     return;
             }
         }
     }
 
   private:
-    /**
-     * One slot of the tag map: open addressing with linear probing
-     * and backward-shift deletion. A slot holds the resident entry
-     * with that tag (if any) and the head of the chain of operands
-     * waiting on the tag. A slot with entry == nullptr is a
-     * placeholder created by a waiter whose producer is not resident
-     * (possible only via direct SU use in tests); it is reclaimed
-     * when its chain drains.
-     */
-    struct TagSlot
+    /** A ready-queue element: the entry's tag (the sort key) and its
+     *  slot. */
+    struct ReadyRef
     {
-        Tag seq = 0;
-        SuEntry *entry = nullptr;
-        OperandRef waitHead;
-        bool used = false;
+        Tag seq;
+        SuSlot slot;
     };
 
-    /** Preferred (home) slot index of @p seq. */
-    std::size_t
-    homeSlot(Tag seq) const
+    /** An operand waiting on a tag whose producer is not resident
+     *  (reachable only by driving the SU directly). */
+    struct Orphan
     {
-        // Fibonacci hashing: tags are sequential, this spreads them.
-        return static_cast<std::size_t>(
-                   (seq * 0x9E3779B97F4A7C15ull) >> 32) &
-               tagMask;
+        Tag tag;
+        std::uint32_t waiter; //!< (slot << 1) | operand
+    };
+
+    std::size_t
+    firstSlot(std::uint32_t block_id) const
+    {
+        return static_cast<std::size_t>(block_id) << blockShift;
     }
 
-    TagSlot *findSlot(Tag seq);
-    const TagSlot *findSlot(Tag seq) const;
-    /** Find-or-insert. May grow the map (invalidates slot refs). */
-    TagSlot &insertSlot(Tag seq);
-    /** Remove the slot for @p seq (backward-shift deletion). */
-    void eraseSlot(Tag seq);
-    void growTagMap();
-
-    /** Newest-writer table record (oldest first per (tid, reg)). */
-    struct WriterRec
+    std::uint32_t
+    blockOf(SuSlot slot) const
     {
-        Tag seq = 0;
-        SuEntry *entry = nullptr;
-    };
+        return slot >> blockShift;
+    }
 
     std::size_t
     writerIndex(ThreadId tid, RegIndex reg) const
@@ -483,27 +520,45 @@ class SchedulingUnit
         return static_cast<std::size_t>(tid) * regsPerThread + reg;
     }
 
-    /** Insert a freshly dispatched block's entries into all indices. */
-    void indexBlock(SuBlock &block);
+    /** Slot of the resident entry tagged @p seq, or kNoSlot. */
+    SuSlot lookup(Tag seq) const;
 
-    /** Unlink one waiting operand from its producer's chain. */
-    void unlinkWaiter(Tag tag, const SuEntry &entry, unsigned op);
+    /** Wake the operand encoded by @p waiter with @p producer's
+     *  result. */
+    void wake(std::uint32_t waiter, Tag producer, RegVal value,
+              Cycle now, Cycle earliest);
 
-    /** Remove one entry (commit/removeBlock path) from all indices. */
-    void unindexEntry(SuEntry &entry);
+    /** Detach the waiting operand @p op of the entry in @p slot from
+     *  its producer's chain (or from the orphan list). */
+    void unlinkWaiter(SuSlot slot, unsigned op);
 
-    /** Return entry storage to the pool. */
-    void recycleEntries(std::vector<SuEntry> &&entries);
+    /** Hand the valid waiters still chained on the leaving entry in
+     *  @p slot to the orphan list, so a later broadcast of its tag
+     *  still reaches them. */
+    void orphanWaiters(SuSlot slot);
+
+    /** Take the leaving entry in @p slot out of the writer chain of
+     *  its (thread, register). */
+    void unlinkWriter(SuSlot slot);
+
+    /** Remove the entry tagged @p seq from the ready queue. */
+    void dropReady(Tag seq);
 
     unsigned capacityBlocks;
     unsigned blockSize;
+    unsigned blockShift = 0;
     unsigned numThreads;
     unsigned regsPerThread;
 
-    /** Resident blocks, bottom (oldest) first. Reserved to
-     *  capacityBlocks up front so SuBlock headers move but never
-     *  reallocate; entry buffers are stable throughout. */
-    std::vector<SuBlock> blocks;
+    /** capacityBlocks * blockSize entry slots; block b owns slots
+     *  [b * blockSize, (b + 1) * blockSize). */
+    std::vector<SuEntry> arena;
+    /** headers[b]: the block held in block b's slots. */
+    std::vector<SuBlock> headers;
+    /** Resident block numbers, bottom (oldest) first. */
+    std::vector<std::uint32_t> order;
+    /** Block numbers not resident. */
+    std::vector<std::uint32_t> freeBlocks;
 
     /** Valid (non-squashed) resident entries. */
     unsigned validCount = 0;
@@ -512,24 +567,20 @@ class SchedulingUnit
     std::vector<unsigned> validPerThread;
     /** Valid entries per thread not yet Done (see pendingOf). */
     std::vector<unsigned> pendingPerThread;
-    /** Valid entries in the Ready state (see readyEntries()). */
-    unsigned readyCount = 0;
 
-    // ---- Indices (see file comment) ----
-    std::vector<TagSlot> tagSlots; //!< power-of-two open addressing
-    std::size_t tagMask = 0;
-    std::size_t tagCount = 0; //!< used slots
+    /** Every valid Ready entry, ascending tag. */
+    std::vector<ReadyRef> readyQueue;
 
-    /** writers[tid * regsPerThread + reg]: resident writers of that
-     *  (thread, register), oldest first — back() is the newest. */
-    std::vector<std::vector<WriterRec>> writers;
+    /** newestWriter[tid * regsPerThread + reg]: slot of the newest
+     *  in-flight writer of that (thread, register), or kNoSlot. */
+    std::vector<SuSlot> newestWriter;
 
     /** Per-thread ascending tags of resident stores not yet in the
      *  store buffer — front() is the oldest. */
     std::vector<std::vector<Tag>> unbufferedStores;
 
-    /** Recycled entry storage for acquireBlock. */
-    std::vector<std::vector<SuEntry>> entryPool;
+    /** Waiters on tags with no resident producer. */
+    std::vector<Orphan> orphans;
 };
 
 } // namespace sdsp

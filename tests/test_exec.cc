@@ -109,14 +109,153 @@ TEST(FuPool, EarlierCompletionsFirstRegardlessOfIssueOrder)
 
 TEST(FuPool, CancelSuppressesDelivery)
 {
+    // A squashed producer's operation (the liveness test rejects it)
+    // is never delivered.
     FuPool pool(FuConfig::sdspDefault());
     pool.issue(FuClass::IntAlu, 1, 1);
     pool.issue(FuClass::IntAlu, 2, 1);
-    pool.cancel(1);
     std::vector<FuCompletion> out;
-    pool.drainCompletions(2, 8, out);
+    pool.drainCompletions(2, 8, out, [](const FuCompletion &op) {
+        return op.seq != 1;
+    });
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].seq, 2u);
+}
+
+TEST(FuPool, SquashedOperationUsesNoResultPort)
+{
+    FuPool pool(FuConfig::sdspDefault());
+    for (Tag seq = 1; seq <= 3; ++seq)
+        pool.issue(FuClass::IntAlu, seq, 1);
+    std::vector<FuCompletion> out;
+    pool.drainCompletions(2, 2, out, [](const FuCompletion &op) {
+        return op.seq != 1;
+    });
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].seq, 2u);
+    EXPECT_EQ(out[1].seq, 3u);
+    EXPECT_FALSE(pool.busy());
+}
+
+TEST(FuPool, SquashedOperationKeepsUnitBusyUntilItsCycle)
+{
+    // The pipeline still drains a squashed divide: the pool reports
+    // busy until the operation's completion cycle has been drained.
+    FuPool pool(FuConfig::sdspDefault());
+    Cycle done = pool.issue(FuClass::IntDiv, 1, 1);
+    auto squashed = [](const FuCompletion &) { return false; };
+    std::vector<FuCompletion> out;
+    for (Cycle t = 2; t < done; ++t) {
+        pool.drainCompletions(t, 8, out, squashed);
+        EXPECT_TRUE(pool.busy()) << t;
+    }
+    pool.drainCompletions(done, 8, out, squashed);
+    EXPECT_FALSE(pool.busy());
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(FuPool, HeldBackResultsDrainBeforeLaterOnes)
+{
+    FuPool pool(FuConfig::sdspDefault());
+    for (Tag seq = 1; seq <= 4; ++seq)
+        pool.issue(FuClass::IntAlu, seq, 1); // complete at 2
+    pool.issue(FuClass::IntAlu, 5, 2);       // completes at 3
+    std::vector<FuCompletion> out;
+    pool.drainCompletions(2, 1, out);
+    ASSERT_EQ(out.size(), 1u);
+    out.clear();
+    pool.drainCompletions(3, 8, out);
+    ASSERT_EQ(out.size(), 4u);
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_EQ(out[i].seq, i + 2u);
+    EXPECT_EQ(out[3].completeCycle, 3u);
+}
+
+TEST(FuPool, LatencyBeyondTheWheelWaitsInOverflow)
+{
+    FuConfig cfg = FuConfig::sdspDefault();
+    cfg.latency[static_cast<unsigned>(FuClass::IntDiv)] =
+        3 * FuPool::kWheelSlots + 5;
+    FuPool pool(cfg);
+    Cycle slow = pool.issue(FuClass::IntDiv, 1, 1);
+    pool.issue(FuClass::IntAlu, 2, 1);
+    std::vector<FuCompletion> out;
+    for (Cycle t = 2; t < slow - 1; ++t)
+        pool.drainCompletions(t, 8, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].seq, 2u);
+    EXPECT_TRUE(pool.busy());
+    // Due in the same cycle as the divide, but within the wheel.
+    EXPECT_EQ(pool.issue(FuClass::IntAlu, 3, slow - 1), slow);
+    out.clear();
+    pool.drainCompletions(slow - 1, 8, out);
+    EXPECT_TRUE(out.empty());
+    pool.drainCompletions(slow, 8, out);
+    // The overflow operation merges with the bucket in tag order.
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].seq, 1u);
+    EXPECT_EQ(out[1].seq, 3u);
+    EXPECT_FALSE(pool.busy());
+}
+
+TEST(FuPool, DrainSkippingManyCyclesKeepsOrder)
+{
+    // A drain may jump far past the wheel's span; everything due
+    // comes out in (completion cycle, tag) order.
+    FuConfig cfg = FuConfig::sdspDefault();
+    cfg.latency[static_cast<unsigned>(FuClass::FpDiv)] =
+        2 * FuPool::kWheelSlots;
+    FuPool pool(cfg);
+    pool.issue(FuClass::FpDiv, 1, 1);
+    pool.issue(FuClass::IntMul, 2, 1);
+    pool.issue(FuClass::IntAlu, 3, 1);
+    std::vector<FuCompletion> out;
+    pool.drainCompletions(10 * FuPool::kWheelSlots, 8, out);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].seq, 3u);
+    EXPECT_EQ(out[1].seq, 2u);
+    EXPECT_EQ(out[2].seq, 1u);
+    EXPECT_FALSE(pool.busy());
+}
+
+TEST(FuPool, FullBucketSpillsInTagOrder)
+{
+    // More completions in one cycle than a wheel bucket holds, issued
+    // youngest first: they still drain in tag order.
+    FuConfig cfg = FuConfig::sdspDefault();
+    cfg.count[static_cast<unsigned>(FuClass::IntAlu)] = 16;
+    FuPool pool(cfg);
+    for (Tag seq = 16; seq >= 1; --seq)
+        pool.issue(FuClass::IntAlu, seq, 1);
+    std::vector<FuCompletion> out;
+    pool.drainCompletions(2, 16, out);
+    ASSERT_EQ(out.size(), 16u);
+    for (unsigned i = 0; i < 16; ++i)
+        EXPECT_EQ(out[i].seq, i + 1u);
+}
+
+TEST(FuPool, CompletionCarriesTheSlot)
+{
+    FuPool pool(FuConfig::sdspDefault());
+    pool.issue(FuClass::Load, 9, 1, /*extra=*/0, /*slot=*/17);
+    std::vector<FuCompletion> out;
+    pool.drainCompletions(3, 8, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].slot, 17u);
+    EXPECT_EQ(out[0].completeCycle, 3u);
+}
+
+TEST(FuPool, CanIssueTracksEarliestFreeInstance)
+{
+    FuConfig cfg = FuConfig::sdspEnhanced(); // 2 iterative dividers
+    FuPool pool(cfg);
+    Cycle lat = cfg.latencyOf(FuClass::IntDiv);
+    pool.issue(FuClass::IntDiv, 1, 1);
+    EXPECT_TRUE(pool.canIssue(FuClass::IntDiv, 1));
+    pool.issue(FuClass::IntDiv, 2, 3);
+    EXPECT_FALSE(pool.canIssue(FuClass::IntDiv, 1 + lat - 1));
+    EXPECT_TRUE(pool.canIssue(FuClass::IntDiv, 1 + lat));
+    EXPECT_EQ(pool.busyCycles(FuClass::IntDiv, 1), lat);
 }
 
 TEST(FuPool, LowestInstanceFirstFeedsUtilizationStats)

@@ -29,14 +29,11 @@ makeEntry(Tag seq, ThreadId tid, Opcode op, RegIndex rd,
     return entry;
 }
 
-SuBlock
-makeBlock(ThreadId tid, std::vector<SuEntry> entries)
+/** Dispatch one block of @p entries (program order) for @p tid. */
+void
+dispatch(SchedulingUnit &su, ThreadId tid, std::vector<SuEntry> entries)
 {
-    SuBlock block;
-    block.tid = tid;
-    block.blockSeq = entries.front().seq;
-    block.entries = std::move(entries);
-    return block;
+    su.dispatch(tid, entries);
 }
 
 TEST(Su, CapacityAndOccupancy)
@@ -44,22 +41,22 @@ TEST(Su, CapacityAndOccupancy)
     SchedulingUnit su(2, 4);
     EXPECT_TRUE(su.hasSpace());
     EXPECT_TRUE(su.empty());
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1),
-                              makeEntry(2, 0, Opcode::ADD, 2)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1),
+                              makeEntry(2, 0, Opcode::ADD, 2)});
     EXPECT_EQ(su.occupancy(), 2u);
-    su.dispatch(makeBlock(1, {makeEntry(3, 1, Opcode::ADD, 1)}));
+    dispatch(su, 1, {makeEntry(3, 1, Opcode::ADD, 1)});
     EXPECT_FALSE(su.hasSpace());
-    EXPECT_DEATH(su.dispatch(makeBlock(0, {makeEntry(9, 0,
-                                                     Opcode::ADD, 3)})),
+    EXPECT_DEATH(dispatch(su, 0, {makeEntry(9, 0,
+                                                     Opcode::ADD, 3)}),
                  "full");
 }
 
 TEST(Su, FindNewestWriterMatchesThreadAndRegister)
 {
     SchedulingUnit su(4, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 5)}));
-    su.dispatch(makeBlock(1, {makeEntry(2, 1, Opcode::ADD, 5)}));
-    su.dispatch(makeBlock(0, {makeEntry(3, 0, Opcode::ADD, 5)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 5)});
+    dispatch(su, 1, {makeEntry(2, 1, Opcode::ADD, 5)});
+    dispatch(su, 0, {makeEntry(3, 0, Opcode::ADD, 5)});
 
     const SuEntry *writer = su.findNewestWriter(0, 5);
     ASSERT_NE(writer, nullptr);
@@ -75,7 +72,7 @@ TEST(Su, FindNewestWriterIgnoresNonWriters)
     SchedulingUnit su(4, 4);
     SuEntry store = makeEntry(1, 0, Opcode::ADD, 5);
     store.inst = Instruction::makeB(Opcode::ST, 5, 5, 0);
-    su.dispatch(makeBlock(0, {store}));
+    dispatch(su, 0, {store});
     EXPECT_EQ(su.findNewestWriter(0, 5), nullptr);
 }
 
@@ -86,7 +83,7 @@ TEST(Su, BroadcastWakesMatchingOperands)
     consumer.inst = Instruction::makeR(Opcode::ADD, 3, 1, 2);
     consumer.src1 = {false, 0, 7}; // waiting on tag 7
     consumer.src2 = {true, 5, kNoTag};
-    su.dispatch(makeBlock(0, {consumer}));
+    dispatch(su, 0, {consumer});
 
     su.broadcast(7, 123, /*now=*/10, /*bypassing=*/true);
     SuEntry *entry = su.findBySeq(2);
@@ -101,7 +98,7 @@ TEST(Su, BroadcastWithoutBypassDelaysIssue)
     SchedulingUnit su(4, 4);
     SuEntry consumer = makeEntry(2, 0, Opcode::ADD, 3);
     consumer.src1 = {false, 0, 7};
-    su.dispatch(makeBlock(0, {consumer}));
+    dispatch(su, 0, {consumer});
     su.broadcast(7, 1, 10, /*bypassing=*/false);
     EXPECT_EQ(su.findBySeq(2)->earliestIssue, 11u);
 }
@@ -112,7 +109,7 @@ TEST(Su, BroadcastLeavesPartiallyWaitingEntries)
     SuEntry consumer = makeEntry(2, 0, Opcode::ADD, 3);
     consumer.src1 = {false, 0, 7};
     consumer.src2 = {false, 0, 8};
-    su.dispatch(makeBlock(0, {consumer}));
+    dispatch(su, 0, {consumer});
     su.broadcast(7, 1, 10, true);
     EXPECT_EQ(su.findBySeq(2)->state, EntryState::Waiting);
     su.broadcast(8, 2, 11, true);
@@ -122,10 +119,10 @@ TEST(Su, BroadcastLeavesPartiallyWaitingEntries)
 TEST(Su, SquashRemovesOnlyYoungerSameThread)
 {
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1),
-                              makeEntry(2, 0, Opcode::ADD, 2)}));
-    su.dispatch(makeBlock(1, {makeEntry(3, 1, Opcode::ADD, 1)}));
-    su.dispatch(makeBlock(0, {makeEntry(4, 0, Opcode::ADD, 3)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1),
+                              makeEntry(2, 0, Opcode::ADD, 2)});
+    dispatch(su, 1, {makeEntry(3, 1, Opcode::ADD, 1)});
+    dispatch(su, 0, {makeEntry(4, 0, Opcode::ADD, 3)});
 
     std::vector<Tag> squashed;
     unsigned count = su.squashThread(0, /*after=*/1, &squashed);
@@ -137,7 +134,7 @@ TEST(Su, SquashRemovesOnlyYoungerSameThread)
     EXPECT_EQ(su.findBySeq(2), nullptr);
     EXPECT_NE(su.findBySeq(3), nullptr);
     EXPECT_EQ(su.findBySeq(4), nullptr);
-    EXPECT_EQ(su.contents().size(), 2u);
+    EXPECT_EQ(su.blockCount(), 2u);
 }
 
 TEST(Su, SquashThenBroadcastStaleTagDoesNotWakeTheDead)
@@ -147,11 +144,11 @@ TEST(Su, SquashThenBroadcastStaleTagDoesNotWakeTheDead)
     // squash time still arrives as a broadcast. It must find nobody:
     // no crash, no wakeup, no stale index entry.
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1),
-                              makeEntry(2, 0, Opcode::ADD, 2)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1),
+                              makeEntry(2, 0, Opcode::ADD, 2)});
     SuEntry consumer = makeEntry(3, 0, Opcode::ADD, 3);
     consumer.src1 = {false, 0, 2};
-    su.dispatch(makeBlock(0, {consumer}));
+    dispatch(su, 0, {consumer});
 
     EXPECT_EQ(su.squashThread(0, /*after=*/1), 2u);
     EXPECT_EQ(su.findBySeq(2), nullptr);
@@ -165,7 +162,7 @@ TEST(Su, SquashThenBroadcastStaleTagDoesNotWakeTheDead)
     // dispatch, wake and commit normally.
     SuEntry fresh = makeEntry(4, 0, Opcode::ADD, 2);
     fresh.src1 = {false, 0, 1};
-    su.dispatch(makeBlock(0, {fresh}));
+    dispatch(su, 0, {fresh});
     su.broadcast(1, 7, 6, true);
     ASSERT_NE(su.findBySeq(4), nullptr);
     EXPECT_EQ(su.findBySeq(4)->state, EntryState::Ready);
@@ -178,11 +175,11 @@ TEST(Su, SquashKeepsCrossThreadWaitersWakeable)
     // possible by driving the SU directly) must still be woken by the
     // late broadcast, exactly as a scan over the window would.
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1),
-                              makeEntry(2, 0, Opcode::ADD, 2)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1),
+                              makeEntry(2, 0, Opcode::ADD, 2)});
     SuEntry other = makeEntry(3, 1, Opcode::ADD, 3);
     other.src1 = {false, 0, 2};
-    su.dispatch(makeBlock(1, {other}));
+    dispatch(su, 1, {other});
 
     su.squashThread(0, /*after=*/1);
     su.broadcast(2, 99, /*now=*/5, /*bypassing=*/true);
@@ -195,8 +192,8 @@ TEST(Su, SquashKeepsCrossThreadWaitersWakeable)
 TEST(Su, SquashPurgesWriterTable)
 {
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 5)}));
-    su.dispatch(makeBlock(0, {makeEntry(2, 0, Opcode::ADD, 5)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 5)});
+    dispatch(su, 0, {makeEntry(2, 0, Opcode::ADD, 5)});
     su.squashThread(0, /*after=*/1);
     const SuEntry *writer = su.findNewestWriter(0, 5);
     ASSERT_NE(writer, nullptr);
@@ -206,8 +203,8 @@ TEST(Su, SquashPurgesWriterTable)
 TEST(Su, CommitSelectsCompleteBottomBlock)
 {
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1,
-                                        EntryState::Done)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1,
+                                        EntryState::Done)});
     CommitSelection selection = su.selectCommit(4);
     EXPECT_TRUE(selection.found);
     EXPECT_EQ(selection.blockIndex, 0u);
@@ -218,9 +215,9 @@ TEST(Su, FlexibleCommitSkipsOtherThreadsIncompleteBlock)
     // Paper Figure 2: block 1 (thread 0) incomplete; block 2
     // (thread 1) complete -> thread 1 commits from the middle.
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1)}));
-    su.dispatch(makeBlock(1, {makeEntry(2, 1, Opcode::ADD, 1,
-                                        EntryState::Done)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1)});
+    dispatch(su, 1, {makeEntry(2, 1, Opcode::ADD, 1,
+                                        EntryState::Done)});
     CommitSelection selection = su.selectCommit(4);
     EXPECT_TRUE(selection.found);
     EXPECT_EQ(selection.blockIndex, 1u);
@@ -231,9 +228,9 @@ TEST(Su, FlexibleCommitRespectsSameThreadOrder)
     // Both blocks thread 0; the younger complete block must NOT pass
     // the older incomplete one.
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1)}));
-    su.dispatch(makeBlock(0, {makeEntry(2, 0, Opcode::ADD, 1,
-                                        EntryState::Done)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1)});
+    dispatch(su, 0, {makeEntry(2, 0, Opcode::ADD, 1,
+                                        EntryState::Done)});
     EXPECT_FALSE(su.selectCommit(4).found);
 }
 
@@ -242,10 +239,10 @@ TEST(Su, FlexibleCommitChecksAllBlocksBelow)
     // Thread pattern A(incomplete) B(incomplete) B(complete): the
     // complete B block is blocked by the incomplete B block below.
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1)}));
-    su.dispatch(makeBlock(1, {makeEntry(2, 1, Opcode::ADD, 1)}));
-    su.dispatch(makeBlock(1, {makeEntry(3, 1, Opcode::ADD, 2,
-                                        EntryState::Done)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1)});
+    dispatch(su, 1, {makeEntry(2, 1, Opcode::ADD, 1)});
+    dispatch(su, 1, {makeEntry(3, 1, Opcode::ADD, 2,
+                                        EntryState::Done)});
     EXPECT_FALSE(su.selectCommit(4).found);
 }
 
@@ -254,9 +251,9 @@ TEST(Su, CommitWindowLimitsLookahead)
     // Complete block sits above the window: LowestBlockOnly (window
     // 1) must not find it; window 4 must.
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1)}));
-    su.dispatch(makeBlock(1, {makeEntry(2, 1, Opcode::ADD, 1,
-                                        EntryState::Done)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1)});
+    dispatch(su, 1, {makeEntry(2, 1, Opcode::ADD, 1,
+                                        EntryState::Done)});
     EXPECT_FALSE(su.selectCommit(1).found);
     EXPECT_TRUE(su.selectCommit(4).found);
 }
@@ -267,10 +264,10 @@ TEST(Su, FlexibleCommitWindowIsFourBlocks)
     // beyond the paper's four-block commit window.
     SchedulingUnit su(8, 4);
     for (Tag seq = 1; seq <= 4; ++seq) {
-        su.dispatch(makeBlock(0, {makeEntry(seq, 0, Opcode::ADD, 1)}));
+        dispatch(su, 0, {makeEntry(seq, 0, Opcode::ADD, 1)});
     }
-    su.dispatch(makeBlock(1, {makeEntry(9, 1, Opcode::ADD, 1,
-                                        EntryState::Done)}));
+    dispatch(su, 1, {makeEntry(9, 1, Opcode::ADD, 1,
+                                        EntryState::Done)});
     EXPECT_FALSE(su.selectCommit(4).found);
     EXPECT_TRUE(su.selectCommit(5).found);
 }
@@ -278,12 +275,12 @@ TEST(Su, FlexibleCommitWindowIsFourBlocks)
 TEST(Su, RemoveBlockCompacts)
 {
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1)}));
-    su.dispatch(makeBlock(1, {makeEntry(2, 1, Opcode::ADD, 1)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1)});
+    dispatch(su, 1, {makeEntry(2, 1, Opcode::ADD, 1)});
     SuBlock removed = su.removeBlock(0);
     EXPECT_EQ(removed.tid, 0u);
-    EXPECT_EQ(su.contents().size(), 1u);
-    EXPECT_EQ(su.contents().front().tid, 1u);
+    EXPECT_EQ(su.blockCount(), 1u);
+    EXPECT_EQ(su.block(0).tid, 1u);
 }
 
 TEST(Su, OlderUnresolvedStoreQuery)
@@ -291,7 +288,7 @@ TEST(Su, OlderUnresolvedStoreQuery)
     SchedulingUnit su(8, 4);
     SuEntry store = makeEntry(1, 0, Opcode::ADD, 0);
     store.inst = Instruction::makeB(Opcode::ST, 1, 2, 0);
-    su.dispatch(makeBlock(0, {store}));
+    dispatch(su, 0, {store});
 
     EXPECT_TRUE(su.hasOlderUnresolvedStore(0, 5));
     EXPECT_FALSE(su.hasOlderUnresolvedStore(1, 5)); // other thread
@@ -306,7 +303,7 @@ TEST(Su, OlderUnbufferedStoreIsThreadBlind)
     SchedulingUnit su(8, 4);
     SuEntry store = makeEntry(3, 1, Opcode::ADD, 0);
     store.inst = Instruction::makeB(Opcode::ST, 1, 2, 0);
-    su.dispatch(makeBlock(1, {store}));
+    dispatch(su, 1, {store});
 
     // Visible across threads (it gates the shared store buffer).
     EXPECT_TRUE(su.hasOlderUnbufferedStore(7));
@@ -328,9 +325,9 @@ TEST(Su, CountUnbufferedStoresThroughOwnBlock)
     };
 
     SchedulingUnit su(16, 4);
-    su.dispatch(makeBlock(0, {makeStore(1, 0), makeStore(2, 0)}));
-    su.dispatch(makeBlock(1, {makeStore(3, 1), makeStore(4, 1),
-                              makeEntry(5, 1, Opcode::ADD, 1)}));
+    dispatch(su, 0, {makeStore(1, 0), makeStore(2, 0)});
+    dispatch(su, 1, {makeStore(3, 1), makeStore(4, 1),
+                              makeEntry(5, 1, Opcode::ADD, 1)});
 
     // Oldest store: only its block-mate counts.
     EXPECT_EQ(su.countUnbufferedStoresThrough(*su.findBySeq(1)), 1u);
@@ -348,9 +345,9 @@ TEST(Su, CountUnbufferedStoresThroughOwnBlock)
 TEST(Su, OldestFirstIterationOrder)
 {
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1),
-                              makeEntry(2, 0, Opcode::ADD, 2)}));
-    su.dispatch(makeBlock(1, {makeEntry(3, 1, Opcode::ADD, 1)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1),
+                              makeEntry(2, 0, Opcode::ADD, 2)});
+    dispatch(su, 1, {makeEntry(3, 1, Opcode::ADD, 1)});
     std::vector<Tag> seen;
     su.forEachOldestFirst([&](SuEntry &entry) {
         seen.push_back(entry.seq);
@@ -362,14 +359,129 @@ TEST(Su, OldestFirstIterationOrder)
 TEST(Su, IterationStopsOnFalse)
 {
     SchedulingUnit su(8, 4);
-    su.dispatch(makeBlock(0, {makeEntry(1, 0, Opcode::ADD, 1),
-                              makeEntry(2, 0, Opcode::ADD, 2)}));
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1),
+                              makeEntry(2, 0, Opcode::ADD, 2)});
     unsigned visits = 0;
     su.forEachOldestFirst([&](SuEntry &) {
         ++visits;
         return false;
     });
     EXPECT_EQ(visits, 1u);
+}
+
+TEST(Su, ReadyQueueIssuesOldestFirst)
+{
+    // Wakeups arrive youngest first; the issue walk still offers the
+    // Ready entries in tag order and stops at the width.
+    SchedulingUnit su(8, 4);
+    std::vector<SuEntry> waiting;
+    for (Tag seq = 1; seq <= 3; ++seq) {
+        SuEntry consumer = makeEntry(seq, 0, Opcode::ADD, 1);
+        consumer.src1 = {false, 0, 10 + seq};
+        waiting.push_back(consumer);
+    }
+    dispatch(su, 0, waiting);
+    su.broadcast(13, 3, 5, true);
+    su.broadcast(12, 2, 5, true);
+    su.broadcast(11, 1, 5, true);
+    EXPECT_EQ(su.readyEntries(), 3u);
+
+    std::vector<Tag> offered;
+    unsigned issued = su.issueReady(2, [&](SuEntry &entry) {
+        offered.push_back(entry.seq);
+        return true;
+    });
+    EXPECT_EQ(issued, 2u);
+    EXPECT_EQ(offered, (std::vector<Tag>{1, 2}));
+    EXPECT_EQ(su.findBySeq(1)->state, EntryState::Issued);
+    EXPECT_EQ(su.findBySeq(2)->state, EntryState::Issued);
+    EXPECT_EQ(su.findBySeq(3)->state, EntryState::Ready);
+    EXPECT_EQ(su.readyEntries(), 1u);
+}
+
+TEST(Su, IssueReadyKeepsRefusedEntriesInOrder)
+{
+    SchedulingUnit su(8, 4);
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1, EntryState::Ready),
+                     makeEntry(2, 0, Opcode::ADD, 2, EntryState::Ready),
+                     makeEntry(3, 0, Opcode::ADD, 3, EntryState::Ready)});
+    // Refuse the middle entry: it stays Ready, in place.
+    EXPECT_EQ(su.issueReady(8, [](SuEntry &entry) {
+                  return entry.seq != 2;
+              }),
+              2u);
+    std::vector<Tag> offered;
+    su.issueReady(8, [&](SuEntry &entry) {
+        offered.push_back(entry.seq);
+        return false;
+    });
+    EXPECT_EQ(offered, (std::vector<Tag>{2}));
+}
+
+TEST(Su, MarkDoneLeavesTheReadyQueue)
+{
+    SchedulingUnit su(8, 4);
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1, EntryState::Ready),
+                     makeEntry(2, 0, Opcode::ADD, 2, EntryState::Ready)});
+    su.markDone(*su.findBySeq(1));
+    EXPECT_EQ(su.readyEntries(), 1u);
+    EXPECT_EQ(su.pendingOf(0), 1u);
+    EXPECT_FALSE(su.block(0).complete());
+    su.markDone(*su.findBySeq(2));
+    EXPECT_EQ(su.readyEntries(), 0u);
+    EXPECT_TRUE(su.block(0).complete());
+}
+
+TEST(Su, EntryAtRejectsSquashedAndReusedSlots)
+{
+    // A completion names its producer by slot; once the producer is
+    // squashed, and after its slot is reused, the slot no longer
+    // answers for the old tag.
+    SchedulingUnit su(1, 4);
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1),
+                     makeEntry(2, 0, Opcode::ADD, 2)});
+    SuSlot slot = su.slotOf(*su.findBySeq(2));
+    EXPECT_EQ(su.entryAt(slot, 2), su.findBySeq(2));
+    EXPECT_EQ(su.entryAt(slot, 1), nullptr);
+
+    su.squashThread(0, /*after=*/1);
+    EXPECT_EQ(su.entryAt(slot, 2), nullptr);
+
+    su.removeBlock(0);
+    dispatch(su, 0, {makeEntry(5, 0, Opcode::ADD, 1),
+                     makeEntry(6, 0, Opcode::ADD, 2)});
+    EXPECT_EQ(su.slotOf(*su.findBySeq(6)), slot);
+    EXPECT_EQ(su.entryAt(slot, 2), nullptr);
+    EXPECT_EQ(su.entryAt(slot, 6), su.findBySeq(6));
+}
+
+TEST(Su, BlockCompletionIgnoresSquashedEntries)
+{
+    SchedulingUnit su(8, 4);
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 1, EntryState::Done),
+                     makeEntry(2, 0, Opcode::ADD, 2)});
+    EXPECT_FALSE(su.block(0).complete());
+    su.squashThread(0, /*after=*/1);
+    EXPECT_TRUE(su.block(0).complete());
+    EXPECT_TRUE(su.block(0).anyValid());
+    EXPECT_TRUE(su.selectCommit(4).found);
+}
+
+TEST(Su, WriterChainSurvivesRemovalAnywhere)
+{
+    // Three in-flight writers of (t0, r5); removing the oldest and
+    // then the middle one keeps the newest-writer answer exact, and a
+    // squash back past the remaining writers finds none.
+    SchedulingUnit su(8, 4);
+    dispatch(su, 0, {makeEntry(1, 0, Opcode::ADD, 5, EntryState::Done)});
+    dispatch(su, 0, {makeEntry(2, 0, Opcode::ADD, 5, EntryState::Done)});
+    dispatch(su, 0, {makeEntry(3, 0, Opcode::ADD, 5)});
+    su.removeBlock(0);
+    EXPECT_EQ(su.findNewestWriter(0, 5)->seq, 3u);
+    su.removeBlock(0);
+    EXPECT_EQ(su.findNewestWriter(0, 5)->seq, 3u);
+    su.squashThread(0, /*after=*/2);
+    EXPECT_EQ(su.findNewestWriter(0, 5), nullptr);
 }
 
 TEST(RegFile, PartitionMapping)

@@ -1,17 +1,19 @@
 /**
  * @file
- * Differential test for the indexed SchedulingUnit.
+ * Differential test for the slot-addressed SchedulingUnit.
  *
- * The production SU answers every hot-path query from incremental
- * indices (tag map, newest-writer table, waiter chains, unbuffered
- * store lists). This test re-implements the SU as the obvious
- * scan-over-the-window model, drives both with the same randomized
- * dispatch / broadcast / squash / buffer / commit sequences, and
- * checks after every operation that all externally visible behaviour
- * is identical: entry lookup and contents, newest-writer answers,
- * both memory-disambiguation queries, commit selection, occupancy and
- * iteration order. Any index that drifts out of sync with the linear
- * window shows up here as a divergence.
+ * The production SU answers every hot-path query from structures
+ * addressed by arena slot (writer chains, waiter chains, the ready
+ * queue, per-block pending counts) plus unbuffered store lists. This
+ * test re-implements the SU as the obvious scan-over-the-window
+ * model, drives both with the same randomized dispatch / issue /
+ * broadcast / squash / buffer / commit sequences, and checks after
+ * every operation that all externally visible behaviour is identical:
+ * entry lookup and contents, newest-writer answers, both
+ * memory-disambiguation queries, commit selection, block completion,
+ * per-thread occupancy and pending counts, iteration order and the
+ * ready queue's order. Any structure that drifts out of sync with the
+ * linear window shows up here as a divergence.
  */
 
 #include <cstdint>
@@ -25,6 +27,24 @@ namespace sdsp
 {
 namespace
 {
+
+/** One block of the reference model. */
+struct RefBlock
+{
+    ThreadId tid = 0;
+    Tag blockSeq = 0;
+    std::vector<SuEntry> entries;
+
+    bool
+    complete() const
+    {
+        for (const auto &entry : entries) {
+            if (entry.valid && entry.state != EntryState::Done)
+                return false;
+        }
+        return true;
+    }
+};
 
 /**
  * The scan-based reference model: a linear window of blocks; every
@@ -40,7 +60,7 @@ class ReferenceSu
 
     bool hasSpace() const { return blocks.size() < capacityBlocks; }
     bool empty() const { return blocks.empty(); }
-    const std::vector<SuBlock> &contents() const { return blocks; }
+    const std::vector<RefBlock> &contents() const { return blocks; }
 
     unsigned
     occupancy() const
@@ -56,7 +76,7 @@ class ReferenceSu
     }
 
     void
-    dispatch(SuBlock block)
+    dispatch(RefBlock block)
     {
         ASSERT_TRUE(hasSpace());
         ASSERT_LE(block.entries.size(), blockSize);
@@ -167,10 +187,10 @@ class ReferenceSu
         return {false, 0};
     }
 
-    SuBlock
+    RefBlock
     removeBlock(std::size_t block_index)
     {
-        SuBlock block = std::move(blocks[block_index]);
+        RefBlock block = std::move(blocks[block_index]);
         blocks.erase(blocks.begin() +
                      static_cast<std::ptrdiff_t>(block_index));
         return block;
@@ -216,7 +236,7 @@ class ReferenceSu
   private:
     unsigned capacityBlocks;
     unsigned blockSize;
-    std::vector<SuBlock> blocks;
+    std::vector<RefBlock> blocks;
 };
 
 /** Deterministic xorshift RNG (no libc rand dependence). */
@@ -281,7 +301,7 @@ class DiffHarness
     step()
     {
         ++now;
-        switch (rng.below(10)) {
+        switch (rng.below(11)) {
           case 0:
           case 1:
           case 2:
@@ -298,6 +318,9 @@ class DiffHarness
           case 7:
             doSquash();
             break;
+          case 8:
+            doIssue();
+            break;
           default:
             doCommit();
             break;
@@ -312,7 +335,7 @@ class DiffHarness
         auto tid = static_cast<ThreadId>(rng.below(kThreads));
         unsigned count = 1 + rng.below(kBlockSize);
 
-        SuBlock block = su.acquireBlock();
+        RefBlock block;
         block.tid = tid;
         block.blockSeq = nextSeq;
         for (unsigned k = 0; k < count; ++k) {
@@ -339,12 +362,8 @@ class DiffHarness
             block.entries.push_back(entry);
         }
 
-        SuBlock copy;
-        copy.tid = block.tid;
-        copy.blockSeq = block.blockSeq;
-        copy.entries = block.entries;
-        ref.dispatch(std::move(copy));
-        su.dispatch(std::move(block));
+        su.dispatch(tid, block.entries);
+        ref.dispatch(std::move(block));
     }
 
     Operand
@@ -373,13 +392,36 @@ class DiffHarness
     }
 
     void
+    doIssue()
+    {
+        // Issue a random subset of the Ready entries through the
+        // ready queue, at most a random width; the reference marks
+        // the same entries Issued.
+        unsigned width = 1 + rng.below(4);
+        std::vector<Tag> issued;
+        su.issueReady(width, [&](SuEntry &entry) {
+            if (!rng.chance(60))
+                return false;
+            issued.push_back(entry.seq);
+            return true;
+        });
+        for (Tag seq : issued) {
+            SuEntry *theirs = ref.findBySeq(seq);
+            ASSERT_NE(theirs, nullptr);
+            EXPECT_EQ(theirs->state, EntryState::Ready);
+            theirs->state = EntryState::Issued;
+        }
+    }
+
+    void
     doComplete()
     {
-        // Complete one ready non-store entry: mark Done and
+        // Complete one ready or issued non-store entry: mark Done and
         // broadcast its (random) result to both models.
         std::vector<Tag> ready;
         su.forEachOldestFirst([&](SuEntry &entry) {
-            if (entry.state == EntryState::Ready &&
+            if ((entry.state == EntryState::Ready ||
+                 entry.state == EntryState::Issued) &&
                 !entry.inst.isStore()) {
                 ready.push_back(entry.seq);
             }
@@ -391,11 +433,14 @@ class DiffHarness
         RegVal value = rng.next() & 0xffff;
         bool bypassing = rng.chance(50);
 
-        su.findBySeq(seq)->state = EntryState::Done;
-        su.findBySeq(seq)->result = value;
+        // The writeback stage's path: broadcast from the resident
+        // producer (stale tags below go through the tag overload).
+        SuEntry &producer = *su.findBySeq(seq);
+        producer.result = value;
+        su.markDone(producer);
         ref.findBySeq(seq)->state = EntryState::Done;
         ref.findBySeq(seq)->result = value;
-        su.broadcast(seq, value, now, bypassing);
+        su.broadcast(producer, value, now, bypassing);
         ref.broadcast(seq, value, now, bypassing);
     }
 
@@ -414,7 +459,7 @@ class DiffHarness
             return;
         Tag seq = stores[rng.below(stores.size())];
         su.markStoreBuffered(*su.findBySeq(seq));
-        su.findBySeq(seq)->state = EntryState::Done;
+        su.markDone(*su.findBySeq(seq));
         ref.markStoreBuffered(seq);
         ref.findBySeq(seq)->state = EntryState::Done;
     }
@@ -452,10 +497,9 @@ class DiffHarness
             return;
         EXPECT_EQ(a.blockIndex, b.blockIndex);
         SuBlock mine = su.removeBlock(a.blockIndex);
-        SuBlock theirs = ref.removeBlock(b.blockIndex);
+        RefBlock theirs = ref.removeBlock(b.blockIndex);
         EXPECT_EQ(mine.tid, theirs.tid);
         EXPECT_EQ(mine.blockSeq, theirs.blockSeq);
-        su.recycleBlock(std::move(mine));
     }
 
     void
@@ -482,7 +526,38 @@ class DiffHarness
         SCOPED_TRACE(testing::Message() << "operation " << operation);
 
         EXPECT_EQ(su.occupancy(), ref.occupancy());
-        EXPECT_EQ(su.contents().size(), ref.contents().size());
+        ASSERT_EQ(su.blockCount(), ref.contents().size());
+
+        // Block headers: thread, first tag, completion, liveness.
+        for (std::size_t i = 0; i < su.blockCount(); ++i) {
+            const SuBlock &mine = su.block(i);
+            const RefBlock &theirs = ref.contents()[i];
+            EXPECT_EQ(mine.tid, theirs.tid) << "block " << i;
+            EXPECT_EQ(mine.blockSeq, theirs.blockSeq) << "block " << i;
+            EXPECT_EQ(mine.complete(), theirs.complete()) << "block " << i;
+            bool any_valid = false;
+            for (const SuEntry &entry : theirs.entries)
+                any_valid |= entry.valid;
+            EXPECT_EQ(mine.anyValid(), any_valid) << "block " << i;
+        }
+
+        // Per-thread occupancy and pending (not yet Done) counts.
+        for (unsigned t = 0; t < kThreads; ++t) {
+            unsigned valid = 0;
+            unsigned pending = 0;
+            for (const RefBlock &block : ref.contents()) {
+                for (const SuEntry &entry : block.entries) {
+                    if (entry.valid && entry.tid == t) {
+                        ++valid;
+                        pending += entry.state != EntryState::Done;
+                    }
+                }
+            }
+            EXPECT_EQ(su.occupancy(static_cast<ThreadId>(t)), valid)
+                << "thread " << t;
+            EXPECT_EQ(su.pendingOf(static_cast<ThreadId>(t)), pending)
+                << "thread " << t;
+        }
 
         // Every tag ever issued: same existence, same contents.
         for (Tag seq = 1; seq < nextSeq; ++seq) {
@@ -543,13 +618,27 @@ class DiffHarness
             return true;
         });
         std::vector<Tag> theirs_order;
+        std::vector<Tag> theirs_ready;
         for (const auto &block : ref.contents()) {
             for (const auto &entry : block.entries) {
-                if (entry.valid)
-                    theirs_order.push_back(entry.seq);
+                if (!entry.valid)
+                    continue;
+                theirs_order.push_back(entry.seq);
+                if (entry.state == EntryState::Ready)
+                    theirs_ready.push_back(entry.seq);
             }
         }
         EXPECT_EQ(mine_order, theirs_order);
+
+        // The ready queue holds exactly the Ready entries, oldest
+        // first (a walk that issues nothing visits all of them).
+        std::vector<Tag> mine_ready;
+        su.issueReady(~0u, [&](SuEntry &entry) {
+            mine_ready.push_back(entry.seq);
+            return false;
+        });
+        EXPECT_EQ(mine_ready, theirs_ready);
+        EXPECT_EQ(su.readyEntries(), theirs_ready.size());
     }
 
     static bool
