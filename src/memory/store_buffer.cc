@@ -10,7 +10,9 @@ namespace sdsp
 StoreBuffer::StoreBuffer(unsigned capacity) : cap(capacity)
 {
     sdsp_assert(capacity >= 1, "store buffer needs capacity");
-    entries.reserve(capacity);
+    // Drained entries stay below head until head reaches capacity
+    // (compact()), so the vector holds up to 2 * capacity - 1.
+    entries.reserve(2 * static_cast<std::size_t>(capacity));
     livePerTid.resize(16, 0);
 }
 

@@ -2,12 +2,14 @@
  * @file
  * Steady-state allocation test: after a warmup period, the per-cycle
  * simulation loop must perform no heap allocation at all. This pins
- * the pooled SU block storage, the reused fetch latch, the scratch
- * vectors and the pre-reserved index structures — a regression in any
- * of them shows up here as a nonzero count, long before it shows up
- * as a throughput loss in perfbench's `grid` workload. The same holds
- * with a TraceRecorder attached (writing into a stream that discards
- * its bytes): recording formats each line in place.
+ * the SU's entry arena and its pre-reserved queues, the completion
+ * wheel and its overflow list, the reused fetch latch and the scratch
+ * vectors — a regression in any of them shows up here as a nonzero
+ * count, long before it shows up as a throughput loss in perfbench's
+ * `grid` workload. It is checked on every machine shape that changes
+ * a queue's size or a latency, and with a TraceRecorder attached
+ * (writing into a stream that discards its bytes): recording formats
+ * each line in place.
  *
  * The global operator new of this binary counts allocations while a
  * flag is set; the flag is only set around the measured cycle loop.
@@ -114,13 +116,10 @@ class DiscardBuf final : public std::streambuf
 };
 
 void
-expectAllocFree(const Workload &workload, unsigned threads,
+expectAllocFree(const Workload &workload, const MachineConfig &cfg,
                 bool record = false)
 {
-    WorkloadImage image = workload.build(threads, /*scale=*/50);
-    MachineConfig cfg;
-    cfg.numThreads = threads;
-
+    WorkloadImage image = workload.build(cfg.numThreads, /*scale=*/50);
     Processor cpu(cfg, image.program);
     DiscardBuf discard;
     std::ostream trace_out(&discard);
@@ -129,8 +128,8 @@ expectAllocFree(const Workload &workload, unsigned threads,
     if (record)
         cpu.setTraceSink(&recorder);
 
-    // Warm up: fill the SU block pool, grow the scratch vectors to
-    // their high-water marks, take the first mispredict squashes.
+    // Warm up: grow the scratch vectors to their high-water marks,
+    // take the first mispredict squashes.
     const Cycle warmup = 5000;
     const Cycle measure = 20000;
     for (Cycle i = 0; i < warmup && !cpu.done(); ++i)
@@ -149,15 +148,73 @@ expectAllocFree(const Workload &workload, unsigned threads,
         << "loop of " << workload.name();
 }
 
+/** The default machine with @p threads threads. */
+MachineConfig
+machine(unsigned threads)
+{
+    MachineConfig cfg;
+    cfg.numThreads = threads;
+    return cfg;
+}
+
 TEST(AllocFree, GroupOneWorkloadSteadyState)
 {
     // LL7: loads, stores, branches — every pipeline path.
-    expectAllocFree(*allWorkloads().front(), 4);
+    expectAllocFree(*allWorkloads().front(), machine(4));
 }
 
 TEST(AllocFree, TraceRecorderSteadyState)
 {
-    expectAllocFree(workloadByName("LL1"), 4, /*record=*/true);
+    expectAllocFree(workloadByName("LL1"), machine(4), /*record=*/true);
+}
+
+TEST(AllocFree, WideWindowAndIssue)
+{
+    MachineConfig cfg = machine(4);
+    cfg.suEntries = 128;
+    cfg.issueWidth = 16;
+    expectAllocFree(*allWorkloads().front(), cfg);
+}
+
+TEST(AllocFree, NoBypassingWithScoreboarding)
+{
+    MachineConfig cfg = machine(4);
+    cfg.bypassing = false;
+    cfg.renameScheme = RenameScheme::Scoreboard1Bit;
+    expectAllocFree(*allWorkloads().front(), cfg);
+}
+
+TEST(AllocFree, LowestBlockOnlyCommit)
+{
+    MachineConfig cfg = machine(4);
+    cfg.commitPolicy = CommitPolicy::LowestBlockOnly;
+    expectAllocFree(*allWorkloads().front(), cfg);
+}
+
+TEST(AllocFree, FetchPolicies)
+{
+    for (FetchPolicy policy :
+         {FetchPolicy::MaskedRoundRobin, FetchPolicy::ConditionalSwitch,
+          FetchPolicy::Adaptive}) {
+        SCOPED_TRACE(fetchPolicyName(policy));
+        MachineConfig cfg = machine(4);
+        cfg.fetchPolicy = policy;
+        expectAllocFree(*allWorkloads().front(), cfg);
+    }
+}
+
+TEST(AllocFree, DividerLatencyBeyondTheCompletionWheel)
+{
+    // Divides due further ahead than the wheel spans wait in its
+    // overflow list: Sieve divides once per base prime, Water's
+    // force loop takes a square root and a divide per pair.
+    MachineConfig cfg = machine(4);
+    cfg.fu.latency[static_cast<unsigned>(FuClass::IntDiv)] =
+        2 * FuPool::kWheelSlots + 7;
+    expectAllocFree(workloadByName("Sieve"), cfg);
+    cfg.fu.latency[static_cast<unsigned>(FuClass::FpDiv)] =
+        2 * FuPool::kWheelSlots + 7;
+    expectAllocFree(workloadByName("Water"), cfg);
 }
 
 TEST(AllocFree, GroupTwoWorkloadSteadyState)
@@ -172,7 +229,7 @@ TEST(AllocFree, GroupTwoWorkloadSteadyState)
         }
     }
     ASSERT_NE(pick, nullptr);
-    expectAllocFree(*pick, 6);
+    expectAllocFree(*pick, machine(6));
 }
 
 } // namespace
