@@ -38,6 +38,38 @@ breakdownSum(const RelaxResult &result)
 
 } // namespace
 
+std::string
+checkCycleAccounts(const Processor &cpu, const SimResult &sim)
+{
+    for (unsigned tid = 0; tid < cpu.config().numThreads; ++tid) {
+        Cycle charged = 0;
+        for (unsigned r = 0; r < kNumStallReasons; ++r) {
+            charged += cpu.stallCycles(static_cast<ThreadId>(tid),
+                                       static_cast<StallReason>(r));
+        }
+        if (charged != sim.cycles) {
+            return format("thread %u: stall attribution charges %llu "
+                          "cycles, measured %llu",
+                          tid, static_cast<unsigned long long>(charged),
+                          static_cast<unsigned long long>(sim.cycles));
+        }
+    }
+    for (unsigned i = 0; i < kNumLatencyStages; ++i) {
+        auto stage = static_cast<LatencyStage>(i);
+        std::uint64_t samples = cpu.latencyDistribution(stage).count();
+        if (samples != sim.committedInstructions) {
+            return format(
+                "latency.%s holds %llu samples for %llu committed "
+                "instructions",
+                latencyStageName(stage),
+                static_cast<unsigned long long>(samples),
+                static_cast<unsigned long long>(
+                    sim.committedInstructions));
+        }
+    }
+    return "";
+}
+
 DiffResult
 runDifferential(const Program &program, const MachineConfig &config,
                 const DiffLimits &limits)
@@ -188,6 +220,14 @@ runDifferential(const Program &program, const MachineConfig &config,
             fail.sim = result.sim;
             return fail;
         }
+    }
+
+    // ---- The pipeline's own cycle accounts ----
+    std::string accounts = checkCycleAccounts(cpu, result.sim);
+    if (!accounts.empty()) {
+        DiffResult fail = failure("attribution-mismatch", accounts);
+        fail.sim = result.sim;
+        return fail;
     }
 
     // ---- Static IPC bound as a simulator oracle ----

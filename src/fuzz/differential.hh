@@ -1,6 +1,6 @@
 /**
  * @file
- * The differential checker: one generated program, six oracles.
+ * The differential checker: one generated program, seven oracles.
  *
  * A program is run through the reference interpreter and the
  * cycle-level pipeline, and analyzed with sdsp-lint; the pipeline run
@@ -27,6 +27,10 @@
  *     increase projects no more than the measured cycles;
  *  6. the recorded trace loads (readTrace) and replays exactly
  *     (replayExact) in the recorded number of cycles;
+ *  7. the pipeline's cycle accounts hold: every thread's
+ *     stall-attribution row sums to the measured cycles, and each of
+ *     the five per-stage latency histograms counts every committed
+ *     instruction;
  *
  * and nothing times out and the lint report carries no errors
  * (generated programs are valid by construction — an error here is a
@@ -66,9 +70,10 @@ struct DiffResult
      * Stable failure kind: "lint-error", "arch-fault",
      * "interp-timeout", "unreachable-pc", "sim-timeout",
      * "reg-mismatch", "mem-mismatch", "count-mismatch",
-     * "ipc-bound-violation", "ddg-inexact", "projection-unsound",
-     * "replay-divergence" (a recorded trace that does not load is a
-     * replay divergence; the detail carries the reader's error).
+     * "attribution-mismatch", "ipc-bound-violation", "ddg-inexact",
+     * "projection-unsound", "replay-divergence" (a recorded trace
+     * that does not load is a replay divergence; the detail carries
+     * the reader's error).
      * Empty when ok.
      */
     std::string kind;
@@ -79,6 +84,15 @@ struct DiffResult
     /** Static IPC bound at the run's cycle count. */
     double ipcBound = 0.0;
 };
+
+/**
+ * Oracle 7 on a finished run: every thread's stall-attribution row
+ * sums to @p sim's cycles, and each latency histogram holds one
+ * sample per committed instruction. @return a description of the
+ * first violation, or an empty string.
+ */
+std::string checkCycleAccounts(const Processor &cpu,
+                               const SimResult &sim);
 
 /** Run @p program through all oracles on @p config. */
 DiffResult runDifferential(const Program &program,

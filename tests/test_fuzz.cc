@@ -104,6 +104,27 @@ TEST(FuzzDifferential, ArchFaultIsContained)
     EXPECT_NE(interp.faultMessage().find("load"), std::string::npos);
 }
 
+TEST(FuzzDifferential, CycleAccountsCloseOnARealRun)
+{
+    Program prog = generateProgram(FuzzShape::preset("branchy"), 11);
+    MachineConfig cfg = fuzzConfig(4);
+    Processor cpu(cfg, prog);
+    SimResult sim = cpu.run();
+    ASSERT_TRUE(sim.finished);
+    EXPECT_EQ(checkCycleAccounts(cpu, sim), "");
+
+    // Measured against a different cycle count, every thread's row is
+    // off; against a different commit count, the histograms are.
+    SimResult longer = sim;
+    ++longer.cycles;
+    EXPECT_NE(checkCycleAccounts(cpu, longer).find("thread 0"),
+              std::string::npos);
+    SimResult more = sim;
+    ++more.committedInstructions;
+    EXPECT_NE(checkCycleAccounts(cpu, more).find("latency."),
+              std::string::npos);
+}
+
 TEST(FuzzDifferential, InterpreterUsesTheMachinePartition)
 {
     // finalize() gives each of 8 threads 32 registers; the interpreter
