@@ -28,12 +28,6 @@ benchScale()
         parseIntOption("SDSP_BENCH_SCALE", env, 1, 1000));
 }
 
-unsigned
-benchJobs()
-{
-    return SweepRunner::defaultJobs();
-}
-
 MachineConfig
 paperConfig(unsigned threads)
 {

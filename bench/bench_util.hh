@@ -1,16 +1,18 @@
 /**
  * @file
- * Shared infrastructure of the bench drivers: sdsp_bench_all, which
- * runs the paper's figures, tables and ablations (the registry in
- * experiments.hh; DESIGN.md section 3 maps them to the paper),
- * sdsp_bench_critpath and sdsp_bench_explore.
+ * Shared infrastructure of the two bench drivers: sdsp_bench_all,
+ * which runs the paper's figures, tables and ablations (the registry
+ * in experiments.hh; DESIGN.md section 3 maps them to the paper), and
+ * sdsp_bench_critpath, which runs the paper grid as recorded sweep
+ * jobs (DESIGN.md section 10). The explore gate is sdsp-explore.
  *
  * Each experiment prints a header (what the paper reports, what shape
  * to expect) and its measurement tables. Every printed table is also
  * written as CSV into the directory named by SDSP_BENCH_CSV (if set)
  * for plotting. The problem-size scale (percent) defaults to the
  * SDSP_BENCH_SCALE environment variable (default 100), and sweeps run
- * SDSP_BENCH_JOBS workers (default hardware_concurrency).
+ * SweepRunner::defaultJobs() workers (SDSP_BENCH_JOBS, default
+ * hardware_concurrency) unless a driver's --jobs says otherwise.
  */
 
 #ifndef SDSP_BENCH_BENCH_UTIL_HH
@@ -31,9 +33,6 @@ namespace bench
 
 /** Problem-size scale in percent (SDSP_BENCH_SCALE, default 100). */
 unsigned benchScale();
-
-/** Sweep workers (SDSP_BENCH_JOBS, default hardware_concurrency). */
-unsigned benchJobs();
 
 /** The paper's default machine (Table 2) for @p threads threads. */
 MachineConfig paperConfig(unsigned threads = 4);

@@ -9,9 +9,11 @@
  * selection of the registry through the sweep engine (verification,
  * the static IPC-bound gate, checkpoint/resume and fault injection
  * apply to every point), and buildPaperGrid() enumerates its figure
- * entries, so the golden grid, perfbench, sdsp_bench_critpath and
- * the printed figures all read one definition. DESIGN.md section 3
- * maps the entries to the paper.
+ * entries, so the golden grid, perfbench, sdsp_bench_critpath's
+ * recorded exactness sweep (--grid) and the printed figures all read
+ * one definition. The critpath and explore gates are not entries:
+ * their spot checks and frontier validation need a report that can
+ * fail a run. DESIGN.md section 3 maps the entries to the paper.
  */
 
 #ifndef SDSP_BENCH_EXPERIMENTS_HH

@@ -1,14 +1,9 @@
 #include "explore/explore.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <functional>
-#include <thread>
 
 #include "common/json.hh"
-#include "common/logging.hh"
-#include "harness/runner.hh"
 #include "harness/sweep.hh"
 
 namespace sdsp
@@ -16,31 +11,6 @@ namespace sdsp
 
 namespace
 {
-
-/** Run @p fn(0..n-1) on @p jobs worker threads. */
-void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)> &fn)
-{
-    if (jobs <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> workers;
-    unsigned count = std::min<std::size_t>(jobs, n);
-    workers.reserve(count);
-    for (unsigned w = 0; w < count; ++w) {
-        workers.emplace_back([&] {
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1))
-                fn(i);
-        });
-    }
-    for (std::thread &worker : workers)
-        worker.join();
-}
 
 Confidence
 worse(Confidence a, Confidence b)
@@ -60,24 +30,27 @@ recordBaseline(const Workload &workload, const MachineConfig &config,
     recording.workload = workload.name();
     recording.threads = config.numThreads;
 
-    DdgRecorder recorder;
-    RunResult run = runWorkload(workload, config, scale, &recorder);
-    if (!run.finished) {
-        recording.error = "did not finish: " + run.verifyMessage;
-        return recording;
+    SweepJob job{&workload, config, scale, "baseline"};
+    job.record = true;
+    SweepRunner runner(1);
+    runner.add(std::move(job));
+    JobOutcome outcome = std::move(runner.runAll().front());
+    const RunResult &run = outcome.result;
+    if (outcome.ok()) {
+        recording.measured = run.cycles;
+        recording.committed = run.committed;
+        recording.buildSeconds = outcome.graphSeconds;
+        recording.graph = std::move(outcome.graph);
+    } else if (run.finished && !run.verified) {
+        recording.error = "failed verification: " + outcome.error;
+    } else if (!run.finished && run.cycles) {
+        // Stopped at a cycle cap or budget; a thrown attempt never
+        // simulated a cycle.
+        recording.error = "did not finish: " + outcome.error;
+    } else {
+        // Thrown, or "inexact critical path: ..." from the sweep.
+        recording.error = outcome.error;
     }
-    if (!run.verified) {
-        recording.error =
-            "failed verification: " + run.verifyMessage;
-        return recording;
-    }
-    recording.measured = run.cycles;
-    recording.committed = run.committed;
-    recording.graph = std::make_unique<DdgGraph>(recorder.trace(),
-                                                 config, run.cycles);
-    std::string mismatch = recording.graph->verifyExact();
-    if (!mismatch.empty())
-        recording.error = "inexact critical path: " + mismatch;
     return recording;
 }
 
@@ -197,15 +170,14 @@ validateFrontier(const std::vector<LatticePoint> &points,
 }
 
 double
-exploreTolerancePercent(unsigned scale)
+scaledTolerancePercent(unsigned scale, double base_percent,
+                       double cap_percent)
 {
-    constexpr unsigned kGoldenScale = 25;
-    constexpr double kBasePercent = 15.0;
     if (scale <= kGoldenScale)
-        return kBasePercent;
-    return std::min(40.0, kBasePercent *
-                              (static_cast<double>(scale) /
-                               static_cast<double>(kGoldenScale)));
+        return base_percent;
+    return std::min(cap_percent,
+                    base_percent * (static_cast<double>(scale) /
+                                    static_cast<double>(kGoldenScale)));
 }
 
 ExploreSummary
@@ -227,6 +199,7 @@ summarize(const ExploreReport &report)
         }
     }
     summary.frontierSize = report.frontier->size();
+    summary.resimulated = report.validations != nullptr;
     if (report.validations) {
         summary.validated = report.validations->size();
         for (const FrontierValidation &validation :
@@ -243,6 +216,30 @@ summarize(const ExploreReport &report)
         }
     }
     return summary;
+}
+
+std::vector<std::string>
+exploreGateFailures(const ExploreSummary &summary,
+                    double tolerance_percent)
+{
+    std::vector<std::string> failures;
+    if (summary.frontierSize == 0)
+        failures.emplace_back("the frontier is empty");
+    if (!summary.resimulated)
+        return failures;
+    if (summary.validated != summary.frontierSize)
+        failures.emplace_back("not every frontier point was "
+                              "re-simulated");
+    if (summary.resimFailures)
+        failures.emplace_back("re-simulation failures");
+    if (summary.optimisticViolations)
+        failures.emplace_back("optimistic-bound violations (a "
+                              "capacity increase projected above its "
+                              "re-simulation)");
+    if (summary.maxAbsErrorPercent > tolerance_percent)
+        failures.emplace_back("projection error beyond the scale "
+                              "tolerance");
+    return failures;
 }
 
 std::string

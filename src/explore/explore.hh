@@ -35,15 +35,20 @@ struct ExploreRecording
     Cycle measured = 0;
     std::uint64_t committed = 0;
     std::unique_ptr<DdgGraph> graph;
+    /** Host seconds spent building graph and checking it exact. */
+    double buildSeconds = 0.0;
     /** Non-empty when the run failed or the graph was inexact; the
-     *  recording is unusable then (graph may be null). */
+     *  recording is unusable then (graph is null). */
     std::string error;
 };
 
 /**
- * Run @p workload once on @p config at @p scale with the DDG
- * recorder attached, build the graph, and hard-verify exactness.
- * A failed run or an inexact graph is reported via `error`.
+ * Run @p workload once on @p config at @p scale as a recorded sweep
+ * job (budgets, retries and fault injection from the environment),
+ * which builds the graph and hard-verifies exactness. A failed run
+ * is reported via `error`, whose prefix names the cause: "did not
+ * finish: ", "failed verification: " or "inexact critical path: "
+ * (a thrown failure carries its own text).
  */
 ExploreRecording recordBaseline(const Workload &workload,
                                 const MachineConfig &config,
@@ -51,8 +56,8 @@ ExploreRecording recordBaseline(const Workload &workload,
 
 /**
  * Fill every point's per-recording projections and total via
- * DdgGraph::relax on @p jobs worker threads. Points are independent,
- * so the result is bit-identical for any job count.
+ * DdgGraph::relax on @p jobs worker threads (parallelFor). Points
+ * are independent, so the result is bit-identical for any job count.
  */
 void projectLattice(std::vector<LatticePoint> &points,
                     const std::vector<ExploreRecording> &recordings,
@@ -100,15 +105,28 @@ validateFrontier(const std::vector<LatticePoint> &points,
                  const MachineConfig &base, unsigned scale,
                  unsigned jobs);
 
+/** The problem scale (percent) of the golden grid; projection
+ *  tolerances are anchored there. */
+constexpr unsigned kGoldenScale = 25;
+
 /**
- * Projection-error tolerance (percent) the explorer is gated at for
- * @p scale: 15% up to the golden scale (25), widening linearly
- * above it, capped at 40%. Wider than the critpath spot-check gate
- * because the frontier mixes capacity, latency, and cache what-ifs
- * whose re-weighted projections are not one-sided (the reduced
- * lattice's worst frontier point sits at ~11% at scale 25).
+ * A projection-error tolerance (percent) at @p scale: @p base_percent
+ * up to kGoldenScale, widening linearly above it (a relieved
+ * bottleneck reshuffles more memory accesses at larger scales),
+ * capped at @p cap_percent.
  */
-double exploreTolerancePercent(unsigned scale);
+double scaledTolerancePercent(unsigned scale, double base_percent,
+                              double cap_percent);
+
+/**
+ * The frontier-validation tolerance: 15% at the golden scale, capped
+ * at 40%. Wider than the critpath spot-check gate because the
+ * frontier mixes capacity, latency, and cache what-ifs whose
+ * re-weighted projections are not one-sided (the reduced lattice's
+ * worst frontier point sits at ~11% at scale 25).
+ */
+constexpr double kExploreTolerancePercent = 15.0;
+constexpr double kExploreToleranceCapPercent = 40.0;
 
 /** Everything exploreJson() serializes (sdsp-explore-v1). */
 struct ExploreReport
@@ -139,10 +157,22 @@ struct ExploreSummary
     std::size_t optimisticViolations = 0;
     /** Max |errorPercent| across allOk validations. */
     double maxAbsErrorPercent = 0.0;
+    /** Re-simulation ran (the report carries validations). */
+    bool resimulated = false;
 };
 
 /** Compute the summary the JSON embeds and the gates check. */
 ExploreSummary summarize(const ExploreReport &report);
+
+/**
+ * The gates @p summary fails, one message each (empty = pass): an
+ * empty frontier and, when re-simulation ran, a frontier point left
+ * un-simulated, a failed re-simulation, an optimistic-bound
+ * violation, or a max |error| above @p tolerance_percent.
+ */
+std::vector<std::string>
+exploreGateFailures(const ExploreSummary &summary,
+                    double tolerance_percent);
 
 /** The sdsp-explore-v1 JSON document. */
 std::string exploreJson(const ExploreReport &report);

@@ -114,9 +114,9 @@ runWorkload(const Workload &workload, const MachineConfig &config,
 LimitedRunResult
 runWorkloadLimited(const Workload &workload,
                    const MachineConfig &config, unsigned scale,
-                   const RunLimits &limits)
+                   const RunLimits &limits, TraceSink *sink)
 {
-    return runLimited(workload, config, scale, limits, nullptr);
+    return runLimited(workload, config, scale, limits, sink);
 }
 
 double

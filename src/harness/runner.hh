@@ -98,7 +98,8 @@ struct LimitedRunResult
 LimitedRunResult runWorkloadLimited(const Workload &workload,
                                     const MachineConfig &config,
                                     unsigned scale,
-                                    const RunLimits &limits);
+                                    const RunLimits &limits,
+                                    TraceSink *sink = nullptr);
 
 /**
  * The paper's speedup formula (section 5.2):

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -18,6 +19,29 @@ namespace sdsp
 
 namespace
 {
+
+/**
+ * Build the graph of @p recorder's finished, verified run into
+ * @p outcome and check it exact; an inexact graph fails the job.
+ */
+void
+attachGraph(const DdgRecorder &recorder, const MachineConfig &config,
+            JobOutcome &outcome)
+{
+    auto start = std::chrono::steady_clock::now();
+    auto graph = std::make_unique<DdgGraph>(recorder.trace(), config,
+                                            outcome.result.cycles);
+    std::string mismatch = graph->verifyExact();
+    outcome.graphSeconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    if (!mismatch.empty()) {
+        outcome.status = JobStatus::Failed;
+        outcome.error = "inexact critical path: " + mismatch;
+        return;
+    }
+    outcome.graph = std::move(graph);
+}
 
 /** Parse an environment double (locale independent); fatal on junk. */
 double
@@ -133,8 +157,14 @@ SweepRunner::executeJob(const SweepJob &job) const
         ++outcome.attempts;
         try {
             options_.faults.inject(id, attempt);
+            // Scoped to the attempt: the recording dies once its
+            // graph is built.
+            std::optional<DdgRecorder> recorder;
+            if (job.record)
+                recorder.emplace();
             LimitedRunResult run = runWorkloadLimited(
-                *job.workload, job.config, job.scale, limits);
+                *job.workload, job.config, job.scale, limits,
+                recorder ? &*recorder : nullptr);
             outcome.result = std::move(run.result);
             if (run.timedOut) {
                 outcome.status = JobStatus::TimedOut;
@@ -143,6 +173,8 @@ SweepRunner::executeJob(const SweepJob &job) const
                        outcome.result.verified) {
                 outcome.status = JobStatus::Ok;
                 outcome.error.clear();
+                if (recorder)
+                    attachGraph(*recorder, job.config, outcome);
             } else {
                 outcome.status = JobStatus::Failed;
                 outcome.error = outcome.result.verifyMessage;
@@ -180,39 +212,59 @@ SweepRunner::runAll(const JobCallback &completed)
     std::vector<SweepJob> grid = std::move(queue_);
     queue_.clear();
 
+    // Outcomes land at each job's submission index, so the output
+    // order never depends on the schedule.
     std::vector<JobOutcome> outcomes(grid.size());
+    std::mutex callback_mutex;
+    parallelFor(grid.size(), jobs_, [&](std::size_t i) {
+        outcomes[i] = executeJob(grid[i]);
+        if (completed) {
+            std::lock_guard<std::mutex> hold(callback_mutex);
+            completed(i, outcomes[i]);
+        }
+    });
+    return outcomes;
+}
+
+void
+parallelFor(std::size_t n, unsigned jobs,
+            const std::function<void(std::size_t)> &fn)
+{
+    std::size_t workers = std::min<std::size_t>(jobs, n);
+    if (workers <= 1) {
+        // Serial fallback: calling thread, no pool.
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
 
     // Self-scheduling work queue: workers claim the next unclaimed
-    // job. Outcomes land at each job's submission index, so the
-    // output order never depends on the schedule.
+    // index. A throw stops the claiming and reaches the caller once
+    // every worker has joined, as it would from the serial loop.
     std::atomic<std::size_t> next{0};
-    std::mutex callback_mutex;
+    std::mutex failure_mutex;
+    std::exception_ptr failure;
     auto worker = [&]() {
-        for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= grid.size())
-                return;
-            outcomes[i] = executeJob(grid[i]);
-            if (completed) {
-                std::lock_guard<std::mutex> hold(callback_mutex);
-                completed(i, outcomes[i]);
-            }
+        try {
+            for (std::size_t i = next.fetch_add(1); i < n;
+                 i = next.fetch_add(1))
+                fn(i);
+        } catch (...) {
+            next.store(n);
+            std::lock_guard<std::mutex> hold(failure_mutex);
+            if (!failure)
+                failure = std::current_exception();
         }
     };
-
-    std::size_t workers =
-        std::min<std::size_t>(jobs_, grid.size() ? grid.size() : 1);
-    if (workers <= 1) {
-        // Serial fallback: same loop, calling thread, no pool.
-        worker();
-    } else {
+    {
         std::vector<std::jthread> pool;
         pool.reserve(workers);
         for (std::size_t t = 0; t < workers; ++t)
             pool.emplace_back(worker);
         // jthread joins on destruction.
     }
-    return outcomes;
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 } // namespace sdsp

@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel sweep engine.
+ * Parallel sweep engine: the one executor of simulation grids.
  *
  * The paper's evaluation is an embarrassingly parallel grid — eleven
  * benchmarks times many machine variants per figure. Every grid point
@@ -20,11 +20,18 @@
  * backoff, and a FaultPlan can deterministically inject failures for
  * testing (see fault.hh).
  *
+ * A job may ask for a recording (SweepJob::record): its worker then
+ * attaches a DdgRecorder, builds the dependence graph of the finished,
+ * verified run and checks it exact, so every run that feeds the
+ * critical-path engine gets the same classification, budgets and
+ * fault injection as a plain grid point.
+ *
  * The worker count comes from the constructor, the SDSP_BENCH_JOBS
  * environment variable, or std::thread::hardware_concurrency(), in
  * that priority order; one worker degenerates to a plain serial loop
  * on the calling thread, which is both the determinism baseline and
- * the zero-thread-overhead fallback.
+ * the zero-thread-overhead fallback. parallelFor() is that pool; it
+ * also runs work that is not a simulation (lattice projection).
  */
 
 #ifndef SDSP_HARNESS_SWEEP_HH
@@ -32,9 +39,11 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "critpath/ddg.hh"
 #include "harness/fault.hh"
 #include "harness/runner.hh"
 
@@ -56,6 +65,12 @@ struct SweepJob
      * verified result for the point.
      */
     bool skip = false;
+    /**
+     * Record the run's dependence graph: an Ok outcome carries the
+     * graph, checked exact against the measured cycles, and an
+     * inexact graph makes the outcome Failed.
+     */
+    bool record = false;
 };
 
 /** Classified result of one sweep job. */
@@ -110,9 +125,27 @@ struct JobOutcome
     std::string error;
     /** Attempts consumed (1 = first try; 0 = skipped). */
     unsigned attempts = 0;
+    /**
+     * The exact dependence graph of an Ok recorded job (null for
+     * any other outcome). The recording it was built from is freed
+     * before the outcome is handed over.
+     */
+    std::unique_ptr<DdgGraph> graph;
+    /** Host seconds the worker spent building and checking graph. */
+    double graphSeconds = 0.0;
 
     bool ok() const { return status == JobStatus::Ok; }
 };
+
+/**
+ * Run @p fn(0..n-1) on min(@p jobs, n) worker threads, each claiming
+ * the next unclaimed index; with one worker the loop runs on the
+ * calling thread. The first exception @p fn throws stops the loop
+ * and is rethrown here. This is the sweep's pool and the only thread
+ * pool of the simulator.
+ */
+void parallelFor(std::size_t n, unsigned jobs,
+                 const std::function<void(std::size_t)> &fn);
 
 /**
  * Executes queued independent grid points on a fixed thread pool.
@@ -129,10 +162,13 @@ class SweepRunner
      * (invocations are serialized by the runner, so the callback may
      * write shared state — e.g. a checkpoint file — without extra
      * locking). Completion order is schedule-dependent; the index
-     * identifies the job.
+     * identifies the job. The callback may take parts of the outcome
+     * (e.g. move the graph out and drop it after use), so that only
+     * the in-flight graphs are alive instead of one per job; what it
+     * leaves is what runAll() returns.
      */
     using JobCallback =
-        std::function<void(std::size_t index, const JobOutcome &)>;
+        std::function<void(std::size_t index, JobOutcome &)>;
 
     /** @param jobs Worker threads; 0 means defaultJobs(). */
     explicit SweepRunner(

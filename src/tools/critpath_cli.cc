@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <ostream>
@@ -11,7 +12,7 @@
 #include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "critpath/report.hh"
-#include "harness/runner.hh"
+#include "explore/explore.hh"
 #include "tools/cli_util.hh"
 #include "trace_frontend/replay.hh"
 #include "trace_frontend/trace_format.hh"
@@ -151,7 +152,15 @@ parseCritpathCliOptions(const std::vector<std::string> &args)
                     return fail("unknown rename mode: " + *value);
                 }
             } else if (arg == "--what-if") {
-                options.whatIfSpecs.push_back(*value);
+                WhatIf what_if;
+                std::istringstream clauses(*value);
+                std::string clause, error;
+                while (std::getline(clauses, clause, ',')) {
+                    if (!what_if.applyKeyValue(clause, &error))
+                        return fail("--what-if " + *value + ": " +
+                                    error);
+                }
+                options.whatIfs.push_back(what_if);
             } else if (arg == "--json") {
                 options.jsonPath = *value;
             } else { // --max-cycles
@@ -204,6 +213,9 @@ runCritpathCli(const CritpathCliOptions &options, std::ostream &out)
     config.finalize();
     Cycle measured = 0;
     std::string name;
+    // A built-in benchmark runs as a recorded sweep job, which hands
+    // over its graph already checked exact.
+    ExploreRecording recording;
 
     if (!options.workload.empty()) {
         const Workload *workload = findWorkload(options.workload);
@@ -212,21 +224,15 @@ runCritpathCli(const CritpathCliOptions &options, std::ostream &out)
                 << options.workload << "' (see --list)\n";
             return 1;
         }
-        RunResult run =
-            runWorkload(*workload, config, options.scale, &recorder);
-        if (!run.finished) {
-            out << "sdsp-critpath: " << run.benchmark
-                << " did not finish: " << run.verifyMessage << "\n";
-            return 2;
+        recording = recordBaseline(*workload, config, options.scale);
+        if (!recording.error.empty()) {
+            out << "sdsp-critpath: " << recording.workload << " "
+                << recording.error << "\n";
+            return recording.error.starts_with("did not finish") ? 2
+                                                                 : 1;
         }
-        if (!run.verified) {
-            out << "sdsp-critpath: " << run.benchmark
-                << " failed verification: " << run.verifyMessage
-                << "\n";
-            return 1;
-        }
-        measured = run.cycles;
-        name = run.benchmark;
+        measured = recording.measured;
+        name = recording.workload;
     } else if (!options.tracePath.empty()) {
         TraceReadResult loaded = readTraceFile(options.tracePath);
         if (!loaded.ok) {
@@ -280,41 +286,31 @@ runCritpathCli(const CritpathCliOptions &options, std::ostream &out)
         name = options.programPath;
     }
 
-    // ---- Parse the what-ifs up front (cheap failure first). ----
-    std::vector<WhatIfProjection> projections;
-    for (const std::string &spec : options.whatIfSpecs) {
-        WhatIfProjection projection;
-        std::istringstream clauses(spec);
-        std::string clause;
-        while (std::getline(clauses, clause, ',')) {
-            std::string error;
-            if (!projection.whatIf.applyKeyValue(clause, &error)) {
-                out << "sdsp-critpath: --what-if " << spec << ": "
-                    << error << "\n";
-                return 1;
-            }
-        }
-        projections.push_back(std::move(projection));
-    }
-
     // ---- Build, verify exactness, relax. ----
     auto build_start = std::chrono::steady_clock::now();
-    DdgGraph graph(recorder.trace(), config, measured);
-    std::string mismatch = graph.verifyExact();
-    RelaxResult baseline = graph.relax(WhatIf{});
+    std::uint64_t committed = recording.committed;
+    double build_ms = recording.buildSeconds * 1000.0;
+    std::unique_ptr<DdgGraph> graph = std::move(recording.graph);
+    std::string mismatch;
+    if (!graph) {
+        graph = std::make_unique<DdgGraph>(recorder.trace(), config,
+                                           measured);
+        mismatch = graph->verifyExact();
+        committed = recorder.trace().committed();
+    }
+    RelaxResult baseline = graph->relax(WhatIf{});
     auto build_end = std::chrono::steady_clock::now();
+    build_ms += std::chrono::duration<double, std::milli>(
+                    build_end - build_start)
+                    .count();
 
     out << "workload        : " << name << "\n";
     out << "machine         : " << config.toString() << "\n";
     out << "measured cycles : " << measured << "\n";
-    out << "committed insts : " << recorder.trace().committed()
-        << "\n";
+    out << "committed insts : " << committed << "\n";
     out << format("graph           : %zu nodes, %zu edges "
                   "(built+relaxed in %.1f ms)\n",
-                  graph.nodeCount(), graph.edgeCount(),
-                  std::chrono::duration<double, std::milli>(
-                      build_end - build_start)
-                      .count());
+                  graph->nodeCount(), graph->edgeCount(), build_ms);
     if (!mismatch.empty()) {
         out << "critical path   : INEXACT — " << mismatch << "\n";
         return 1;
@@ -325,7 +321,7 @@ runCritpathCli(const CritpathCliOptions &options, std::ostream &out)
 
     if (options.slack) {
         std::array<Distribution, kNumEdgeClasses> slack;
-        graph.slackHistograms(slack);
+        graph->slackHistograms(slack);
         out << "slack (cycles above the binding constraint):\n";
         for (unsigned c = 0; c < kNumEdgeClasses; ++c) {
             if (slack[c].count() == 0)
@@ -340,9 +336,12 @@ runCritpathCli(const CritpathCliOptions &options, std::ostream &out)
     }
 
     // ---- Project. ----
-    for (WhatIfProjection &projection : projections) {
+    std::vector<WhatIfProjection> projections;
+    for (const WhatIf &what_if : options.whatIfs) {
+        WhatIfProjection &projection = projections.emplace_back();
+        projection.whatIf = what_if;
         auto relax_start = std::chrono::steady_clock::now();
-        projection.result = graph.relax(projection.whatIf);
+        projection.result = graph->relax(projection.whatIf);
         auto relax_end = std::chrono::steady_clock::now();
         projection.name = projection.whatIf.describe(config);
         double speedup =
@@ -369,7 +368,7 @@ runCritpathCli(const CritpathCliOptions &options, std::ostream &out)
                 << "\n";
             return 1;
         }
-        json << critpathJson(name, graph, baseline, projections)
+        json << critpathJson(name, *graph, baseline, projections)
              << "\n";
     }
     return 0;

@@ -6,7 +6,9 @@
  * trace replay) once with the DDG recorder attached, builds the
  * dynamic dependence graph, verifies the critical path against the
  * measured cycle count, and projects what-if machine changes without
- * re-simulating:
+ * re-simulating. A built-in benchmark runs as a recorded sweep job
+ * (recordBaseline), so SDSP_BENCH_TIMEOUT, SDSP_BENCH_FAULT and the
+ * other sweep budgets apply to it:
  *
  *     sdsp-critpath --workload ll1 -t 4
  *     sdsp-critpath program.s --what-if issueWidth=16
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "critpath/ddg.hh"
 
 namespace sdsp
 {
@@ -41,8 +44,9 @@ struct CritpathCliOptions
     std::string programPath;
     /** Recorded trace to exact-replay instead of running. */
     std::string tracePath;
-    /** Raw --what-if values, one comma list per occurrence. */
-    std::vector<std::string> whatIfSpecs;
+    /** One projection per --what-if, parsed (and so validated)
+     *  before anything runs. */
+    std::vector<WhatIf> whatIfs;
     /** Write the sdsp-critpath-v1 JSON document here (empty = off). */
     std::string jsonPath;
     /** Print the per-class slack summary. */

@@ -265,7 +265,9 @@ runExploreCli(const ExploreCliOptions &options, std::ostream &out)
     ExploreReport report;
     report.base = base;
     report.scale = options.scale;
-    report.tolerancePercent = exploreTolerancePercent(options.scale);
+    report.tolerancePercent = scaledTolerancePercent(
+        options.scale, kExploreTolerancePercent,
+        kExploreToleranceCapPercent);
     report.includeAllPoints = options.includePoints;
     report.recordings = &recordings;
     report.points = &points;
@@ -352,11 +354,6 @@ runExploreCli(const ExploreCliOptions &options, std::ostream &out)
                       summary.maxAbsErrorPercent,
                       summary.resimFailures,
                       summary.optimisticViolations);
-        if (summary.maxAbsErrorPercent > report.tolerancePercent) {
-            out << format("warning    : max projection error exceeds "
-                          "the %.1f%% tolerance\n",
-                          report.tolerancePercent);
-        }
     }
 
     if (!options.jsonPath.empty()) {
@@ -370,9 +367,11 @@ runExploreCli(const ExploreCliOptions &options, std::ostream &out)
         out << "(json written to " << options.jsonPath << ")\n";
     }
 
-    if (summary.resimFailures || summary.optimisticViolations)
-        return 1;
-    return 0;
+    const std::vector<std::string> failed =
+        exploreGateFailures(summary, report.tolerancePercent);
+    for (const std::string &gate : failed)
+        out << "sdsp-explore: GATE: " << gate << "\n";
+    return failed.empty() ? 0 : 1;
 }
 
 } // namespace sdsp

@@ -15,7 +15,10 @@
  *
  * Pessimistic-bound points (capacity decreases) are projected and
  * reported but never enter the frontier. The JSON artifact is
- * sdsp-explore-v1 (see DESIGN.md §11).
+ * sdsp-explore-v1 (see DESIGN.md §11). A run that fails one of the
+ * five gates of exploreGateFailures exits 1, so CI's explore gate is
+ *
+ *     sdsp-explore --reduced --scale 25 --json bench_explore.json
  */
 
 #ifndef SDSP_TOOLS_EXPLORE_CLI_HH
@@ -68,9 +71,8 @@ std::string exploreCliUsage();
 
 /**
  * Record, project, cut the frontier, validate, report. @return 0 on
- * success, 1 on a setup error or a soundness failure (re-simulation
- * failures / optimistic-bound violations), 2 when a recording run
- * did not finish.
+ * success, 1 on a setup error or a failed gate (see
+ * exploreGateFailures), 2 when a recording run did not finish.
  */
 int runExploreCli(const ExploreCliOptions &options,
                   std::ostream &out);

@@ -5,8 +5,9 @@
  * enumerate must stay the grid the checked-in golden artifact
  * records, point for point, because CI's bit-identity gate and
  * perfbench match points by position. The driver tests run the real
- * binaries (paths baked in via SDSP_BENCH_*_PATH): experiment
- * selection with --only, and rejection of malformed numbers.
+ * binaries (paths baked in via SDSP_*_PATH): experiment selection
+ * with --only, rejection of malformed numbers, and the exit status
+ * of a failed sdsp-explore gate.
  */
 
 #include <gtest/gtest.h>
@@ -135,14 +136,29 @@ TEST(BenchSelection, PrintsATableWithoutSweepPoints)
 TEST(BenchDrivers, RejectNumbersWithTrailingGarbage)
 {
     for (std::string command :
-         {std::string(SDSP_BENCH_EXPLORE_PATH) + " --reduced --scale 10abc",
-          std::string(SDSP_BENCH_CRITPATH_PATH) + " --scale 10x",
+         {std::string(SDSP_BENCH_CRITPATH_PATH) + " --scale 10x",
           std::string(SDSP_BENCH_ALL_PATH) + " --list --jobs 2x"}) {
         std::string output;
         EXPECT_EQ(runCommand(command, &output), 1) << command;
         EXPECT_NE(output.find("bad --"), std::string::npos)
             << command << ": " << output;
     }
+}
+
+TEST(BenchDrivers, ExploreExitsNonZeroOnAFailedGate)
+{
+    // Every point narrows issue, so every projection is a pessimistic
+    // bound and none may enter the frontier.
+    std::string output;
+    EXPECT_EQ(runCommand(std::string(SDSP_EXPLORE_PATH) +
+                             " --workloads LL1 --scale 10 --reduced "
+                             "--no-resim --axis issueWidth=4",
+                         &output),
+              1)
+        << output;
+    EXPECT_NE(output.find("GATE: the frontier is empty"),
+              std::string::npos)
+        << output;
 }
 
 } // namespace

@@ -555,6 +555,28 @@ TEST(CritpathCli, NumericValuesOutsideTheirFieldAreErrors)
               std::string::npos);
 }
 
+TEST(CritpathCli, BadWhatIfFailsWhileParsing)
+{
+    // Rejected with the options, before the recording run.
+    CritpathCliOptions bad = parseCritpathCliOptions(
+        {"--workload", "LL1", "--what-if", "bogus=1"});
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("bogus"), std::string::npos) << bad.error;
+    EXPECT_FALSE(parseCritpathCliOptions(
+                     {"--workload", "LL1", "--what-if",
+                      "issueWidth=16,suEntries=x"})
+                     .ok);
+
+    CritpathCliOptions good = parseCritpathCliOptions(
+        {"--workload", "LL1", "--what-if", "issueWidth=16,suEntries=64",
+         "--what-if", "perfectDCache=1"});
+    ASSERT_TRUE(good.ok) << good.error;
+    ASSERT_EQ(good.whatIfs.size(), 2u);
+    EXPECT_EQ(good.whatIfs[0].issueWidth, 16u);
+    EXPECT_EQ(good.whatIfs[0].suEntries, 64u);
+    EXPECT_TRUE(good.whatIfs[1].perfectDCache);
+}
+
 TEST(CritpathCli, UnknownWorkloadFailsCleanly)
 {
     CritpathCliOptions options = parseCritpathCliOptions(

@@ -5,8 +5,9 @@
  * model, confidence-class propagation into the projections, the
  * Pareto-frontier invariants (no dominated point, no pessimistic
  * bound, determinism across job counts), frontier validation against
- * real re-simulations, the register-budget finalize fix at 8
- * threads, and the sdsp-explore CLI.
+ * real re-simulations, the scale-tolerance rule and the five explore
+ * gates, the register-budget finalize fix at 8 threads, and the
+ * sdsp-explore CLI.
  */
 
 #include <set>
@@ -247,7 +248,8 @@ TEST(Explore, ValidateFrontierEndToEnd)
     ExploreReport report;
     report.base = base;
     report.scale = scale;
-    report.tolerancePercent = exploreTolerancePercent(scale);
+    report.tolerancePercent = scaledTolerancePercent(
+        scale, kExploreTolerancePercent, kExploreToleranceCapPercent);
     report.recordings = &recordings;
     report.points = &points;
     report.frontier = &frontier;
@@ -289,6 +291,77 @@ TEST(Explore, ValidateFrontierEndToEnd)
               std::string::npos);
     EXPECT_NE(json.find("\"tolerancePercent\""), std::string::npos);
     EXPECT_NE(json.find("\"confidence\""), std::string::npos);
+}
+
+TEST(Explore, ScaledToleranceIsFlatThenLinearThenCapped)
+{
+    EXPECT_EQ(scaledTolerancePercent(10, 5.0, 30.0), 5.0);
+    EXPECT_EQ(scaledTolerancePercent(kGoldenScale, 5.0, 30.0), 5.0);
+    EXPECT_EQ(scaledTolerancePercent(100, 5.0, 30.0), 20.0);
+    EXPECT_EQ(scaledTolerancePercent(1000, 5.0, 30.0), 30.0);
+    EXPECT_EQ(scaledTolerancePercent(50, kExploreTolerancePercent,
+                                     kExploreToleranceCapPercent),
+              30.0);
+    EXPECT_EQ(scaledTolerancePercent(100, kExploreTolerancePercent,
+                                     kExploreToleranceCapPercent),
+              40.0);
+}
+
+/** A summary of a re-simulated run that passes every gate. */
+ExploreSummary
+passingSummary()
+{
+    ExploreSummary summary;
+    summary.latticePoints = 24;
+    summary.frontierSize = 5;
+    summary.validated = 5;
+    summary.maxAbsErrorPercent = 9.5;
+    summary.resimulated = true;
+    return summary;
+}
+
+TEST(Explore, EachGateFailsAlone)
+{
+    const double tolerance = 10.0;
+    EXPECT_TRUE(exploreGateFailures(passingSummary(), tolerance).empty());
+
+    auto failsOnce = [&](ExploreSummary summary, const char *gate) {
+        std::vector<std::string> failed =
+            exploreGateFailures(summary, tolerance);
+        ASSERT_EQ(failed.size(), 1u) << gate;
+        EXPECT_NE(failed[0].find(gate), std::string::npos) << failed[0];
+    };
+    ExploreSummary empty = passingSummary();
+    empty.frontierSize = 0;
+    empty.validated = 0;
+    failsOnce(empty, "frontier is empty");
+
+    ExploreSummary partial = passingSummary();
+    partial.validated = 4;
+    failsOnce(partial, "not every frontier point");
+
+    ExploreSummary resim = passingSummary();
+    resim.resimFailures = 1;
+    failsOnce(resim, "re-simulation failures");
+
+    ExploreSummary violation = passingSummary();
+    violation.optimisticViolations = 1;
+    failsOnce(violation, "optimistic-bound violations");
+
+    ExploreSummary error = passingSummary();
+    error.maxAbsErrorPercent = 10.5;
+    failsOnce(error, "beyond the scale tolerance");
+}
+
+TEST(Explore, WithoutResimulationOnlyTheFrontierIsGated)
+{
+    ExploreSummary summary;
+    summary.latticePoints = 24;
+    summary.frontierSize = 5;
+    EXPECT_TRUE(exploreGateFailures(summary, 10.0).empty())
+        << "nothing was re-simulated, so nothing is missing";
+    summary.frontierSize = 0;
+    EXPECT_EQ(exploreGateFailures(summary, 10.0).size(), 1u);
 }
 
 TEST(Explore, ApplyWhatIfMapsEveryKnob)
@@ -359,6 +432,8 @@ TEST(ExploreCli, ParsesAndRejects)
     EXPECT_TRUE(ok.noResim);
 
     EXPECT_FALSE(parseExploreCliOptions({"--bogus"}).ok);
+    EXPECT_FALSE(parseExploreCliOptions({"--reduced", "--scale", "10abc"})
+                     .ok);
     EXPECT_FALSE(parseExploreCliOptions({"--axis", "suEntries"}).ok);
     EXPECT_FALSE(
         parseExploreCliOptions({"--axis", "noSuchKey=1,2"}).ok);
@@ -387,7 +462,9 @@ TEST(ExploreCli, ReducedRunProjectsAndReports)
          "--no-resim", "--jobs", "2"});
     ASSERT_TRUE(options.ok) << options.error;
     std::ostringstream out;
-    EXPECT_EQ(runExploreCli(options, out), 0);
+    // A --no-resim run is gated on its frontier only, and passes.
+    EXPECT_EQ(runExploreCli(options, out), 0) << out.str();
+    EXPECT_EQ(out.str().find("GATE"), std::string::npos) << out.str();
     EXPECT_NE(out.str().find("frontier"), std::string::npos);
     EXPECT_NE(out.str().find("optimistic-bound"),
               std::string::npos);

@@ -2,11 +2,13 @@
  * @file
  * Tests for the parallel sweep engine: parallel/serial equivalence,
  * submission-order results, exception propagation, worker-count
- * resolution, and the artifact serializers the sweep feeds.
+ * resolution, recorded jobs and their graphs, the shared
+ * parallelFor pool, and the artifact serializers the sweep feeds.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
@@ -295,6 +297,123 @@ TEST(Sweep, CompletionCallbackSeesEveryJob)
     EXPECT_EQ(calls, outcomes.size());
     for (std::size_t i = 0; i < seen.size(); ++i)
         EXPECT_TRUE(seen[i]) << "job " << i << " never completed";
+}
+
+/** smallGrid() with every job recorded. */
+std::vector<SweepJob>
+recordedGrid()
+{
+    std::vector<SweepJob> grid = smallGrid();
+    for (SweepJob &job : grid)
+        job.record = true;
+    return grid;
+}
+
+TEST(Sweep, RecordedJobCarriesAnExactGraph)
+{
+    std::vector<JobOutcome> outcomes = runGrid(recordedGrid(), 2);
+    for (const JobOutcome &outcome : outcomes) {
+        SCOPED_TRACE(outcome.result.benchmark);
+        ASSERT_TRUE(outcome.ok()) << outcome.error;
+        ASSERT_NE(outcome.graph, nullptr);
+        EXPECT_EQ(outcome.graph->verifyExact(), "");
+        EXPECT_EQ(outcome.graph->measuredCycles(),
+                  outcome.result.cycles);
+        EXPECT_GT(outcome.graphSeconds, 0.0);
+    }
+    // A plain job records nothing.
+    std::vector<JobOutcome> plain = runGrid(smallGrid(), 2);
+    EXPECT_EQ(plain[0].graph, nullptr);
+}
+
+TEST(Sweep, RecordedParallelMatchesSerial)
+{
+    std::vector<JobOutcome> serial = runGrid(recordedGrid(), 1);
+    std::vector<JobOutcome> parallel = runGrid(recordedGrid(), 4);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(serial[i].result.benchmark);
+        ASSERT_TRUE(serial[i].graph && parallel[i].graph);
+        EXPECT_EQ(serial[i].result.cycles, parallel[i].result.cycles);
+        EXPECT_EQ(serial[i].graph->nodeCount(),
+                  parallel[i].graph->nodeCount());
+        EXPECT_EQ(serial[i].graph->edgeCount(),
+                  parallel[i].graph->edgeCount());
+    }
+}
+
+TEST(Sweep, ThrowingRecordedJobFailsWithoutAGraph)
+{
+    SweepOptions options;
+    options.faults = FaultPlan::fromSpec("LL5/record=throw");
+    SweepRunner runner(4, options);
+    for (const char *name : {"LL1", "LL5", "Sieve"}) {
+        SweepJob job{&workloadByName(name), MachineConfig{}, 10,
+                     "record"};
+        job.record = true;
+        runner.add(std::move(job));
+    }
+    std::vector<JobOutcome> outcomes = runner.runAll();
+    ASSERT_EQ(outcomes.size(), 3u);
+    EXPECT_EQ(outcomes[1].status, JobStatus::Failed);
+    EXPECT_NE(outcomes[1].error.find("injected fault"),
+              std::string::npos)
+        << outcomes[1].error;
+    EXPECT_EQ(outcomes[1].graph, nullptr);
+    for (std::size_t i : {0u, 2u}) {
+        EXPECT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+        EXPECT_NE(outcomes[i].graph, nullptr);
+    }
+}
+
+TEST(Sweep, CallbackCanTakeTheGraph)
+{
+    SweepRunner runner(4, SweepOptions{});
+    for (const SweepJob &job : recordedGrid())
+        runner.add(job);
+    std::size_t taken = 0;
+    std::vector<JobOutcome> outcomes =
+        runner.runAll([&](std::size_t, JobOutcome &outcome) {
+            std::unique_ptr<DdgGraph> graph = std::move(outcome.graph);
+            if (graph && graph->nodeCount())
+                ++taken;
+        });
+    EXPECT_EQ(taken, outcomes.size());
+    for (const JobOutcome &outcome : outcomes) {
+        EXPECT_TRUE(outcome.ok()) << outcome.error;
+        EXPECT_EQ(outcome.graph, nullptr);
+    }
+}
+
+TEST(Sweep, ParallelForVisitsEveryIndexOnce)
+{
+    for (unsigned jobs : {1u, 3u, 16u}) {
+        SCOPED_TRACE(jobs);
+        std::vector<std::atomic<unsigned>> visits(37);
+        parallelFor(visits.size(), jobs,
+                    [&](std::size_t i) { ++visits[i]; });
+        for (const std::atomic<unsigned> &count : visits)
+            EXPECT_EQ(count.load(), 1u);
+    }
+    parallelFor(0, 4, [](std::size_t) { FAIL() << "no work"; });
+}
+
+TEST(Sweep, ParallelForRethrowsAfterJoining)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        std::atomic<unsigned> calls{0};
+        EXPECT_THROW(parallelFor(100, jobs,
+                                 [&](std::size_t i) {
+                                     ++calls;
+                                     if (i == 3)
+                                         throw std::runtime_error("3");
+                                 }),
+                     std::runtime_error);
+        if (jobs == 1) {
+            EXPECT_EQ(calls.load(), 4u) << "the loop stops at the throw";
+        }
+    }
 }
 
 TEST(Sweep, StatusNamesAreStable)
