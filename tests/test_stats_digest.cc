@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "core/processor.hh"
+#include "machine_variants.hh"
 #include "workloads/workload.hh"
 
 namespace sdsp
@@ -128,48 +129,6 @@ PrintTo(const DigestPoint &point, std::ostream *os)
 
 constexpr unsigned kScale = 10;
 
-MachineConfig
-configFor(const DigestPoint &point)
-{
-    MachineConfig cfg;
-    cfg.numThreads = point.threads;
-    const std::string variant = point.variant;
-    if (variant == "su16") {
-        cfg.suEntries = 16;
-    } else if (variant == "su128") {
-        cfg.suEntries = 128;
-    } else if (variant == "issue16") {
-        cfg.issueWidth = 16;
-    } else if (variant == "nobypass") {
-        cfg.bypassing = false;
-    } else if (variant == "scoreboard") {
-        cfg.renameScheme = RenameScheme::Scoreboard1Bit;
-    } else if (variant == "lowestblock") {
-        cfg.commitPolicy = CommitPolicy::LowestBlockOnly;
-    } else if (variant == "maskedrr") {
-        cfg.fetchPolicy = FetchPolicy::MaskedRoundRobin;
-    } else if (variant == "condswitch") {
-        cfg.fetchPolicy = FetchPolicy::ConditionalSwitch;
-    } else if (variant == "adaptive") {
-        cfg.fetchPolicy = FetchPolicy::Adaptive;
-    } else if (variant == "weighted") {
-        cfg.fetchPolicy = FetchPolicy::WeightedRoundRobin;
-        cfg.fetchWeights = {3, 1, 2, 1};
-    } else if (variant == "directmapped") {
-        cfg.dcache.ways = 1;
-    } else if (variant == "partitioned") {
-        cfg.dcache.partitions = point.threads;
-    } else if (variant == "privatebtb") {
-        cfg.btbBanks = point.threads;
-    } else if (variant == "icache") {
-        cfg.perfectICache = false;
-    } else {
-        EXPECT_EQ(variant, "base") << "unknown variant";
-    }
-    cfg.finalize();
-    return cfg;
-}
-
 std::uint64_t
 statsDigest(const Processor &cpu, const SimResult &result)
 {
@@ -210,7 +169,7 @@ class StatsDigest : public testing::TestWithParam<DigestPoint>
 TEST_P(StatsDigest, MatchesPinnedRun)
 {
     const DigestPoint &point = GetParam();
-    MachineConfig cfg = configFor(point);
+    MachineConfig cfg = machineVariant(point.threads, point.variant);
     WorkloadImage image =
         workloadByName(point.workload).build(point.threads, kScale);
 
