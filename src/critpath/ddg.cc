@@ -1,9 +1,12 @@
 #include "critpath/ddg.hh"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -208,43 +211,37 @@ WhatIf::isPureCapacityIncrease(const MachineConfig &config) const
 namespace
 {
 
-/** One node to place: its observed cycle and provisional slot. */
-struct CycleSlot
-{
-    Cycle cycle;
-    std::uint32_t slot;
-};
+/** A link or topological index that is not (yet) known. */
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
 /**
- * Stable LSD radix sort of @p items by cycle in 11-bit digits: linear
- * in the node count, with no bucket per cycle (runs may last up to
- * the 200M-cycle cap). The largest cycle sets the number of passes.
+ * Stable LSD radix sort of the @p count keys at @p keys on their bits
+ * [@p low, @p low + @p width), in 11-bit digits: linear in the key
+ * count, with no bucket per cycle (runs may last up to the 200M-cycle
+ * cap). Keys equal in those bits keep their order. @p keys may come
+ * back pointing at @p scratch, which holds @p count keys.
  */
 void
-sortByCycle(std::vector<CycleSlot> &items)
+sortKeyBits(std::uint64_t *&keys, std::uint64_t *&scratch,
+            std::uint32_t count, unsigned low, unsigned width)
 {
     constexpr unsigned kDigitBits = 11;
-    constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-    Cycle max_cycle = 0;
-    for (const CycleSlot &item : items)
-        max_cycle = std::max(max_cycle, item.cycle);
-
-    std::vector<CycleSlot> scratch(items.size());
-    std::vector<std::size_t> start(kBuckets);
-    for (unsigned shift = 0; shift < 64 && (max_cycle >> shift) != 0;
+    constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+    std::array<std::uint32_t, kDigitMask + 1> start;
+    for (unsigned shift = low; shift < low + width;
          shift += kDigitBits) {
-        std::fill(start.begin(), start.end(), 0);
-        for (const CycleSlot &item : items)
-            ++start[(item.cycle >> shift) & (kBuckets - 1)];
-        std::size_t sum = 0;
-        for (std::size_t &count : start) {
-            std::size_t here = count;
-            count = sum;
+        start.fill(0);
+        for (std::uint32_t k = 0; k < count; ++k)
+            ++start[(keys[k] >> shift) & kDigitMask];
+        std::uint32_t sum = 0;
+        for (std::uint32_t &bucket : start) {
+            const std::uint32_t here = bucket;
+            bucket = sum;
             sum += here;
         }
-        for (const CycleSlot &item : items)
-            scratch[start[(item.cycle >> shift) & (kBuckets - 1)]++] = item;
-        items.swap(scratch);
+        for (std::uint32_t k = 0; k < count; ++k)
+            scratch[start[(keys[k] >> shift) & kDigitMask]++] = keys[k];
+        std::swap(keys, scratch);
     }
 }
 
@@ -258,7 +255,7 @@ class TagIndex
 {
   public:
     template <typename TagOf>
-    TagIndex(std::uint32_t count, TagOf tag_of)
+    TagIndex(std::uint32_t count, TagOf tag_of) : count_(count)
     {
         for (std::uint32_t i = 0; i < count; ++i) {
             min_ = std::min(min_, tag_of(i));
@@ -287,6 +284,7 @@ class TagIndex
     inTagOrder() const
     {
         std::vector<std::uint32_t> order;
+        order.reserve(count_);
         for (std::uint32_t index : table_) {
             if (index != kNone)
                 order.push_back(index);
@@ -295,11 +293,58 @@ class TagIndex
     }
 
   private:
-    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    std::uint32_t count_;
     Tag min_ = ~Tag{0};
     Tag max_ = 0;
     std::vector<std::uint32_t> table_;
 };
+
+/**
+ * A block's same-thread predecessors, found before the visit, and the
+ * topological indices of its nodes, set as the visit reaches them.
+ */
+struct BlockLinks
+{
+    /** The thread's previous block in program order. */
+    std::uint32_t prevInThread = kNone;
+    /** The thread's latest older mispredicted branch, when it is
+     *  older than this block. */
+    std::uint32_t recovery = kNone;
+    std::uint32_t fetch = kNone;
+    std::uint32_t dispatch = kNone;
+    std::uint32_t commit = kNone;
+};
+
+/** The same for an instruction. */
+struct InstLinks
+{
+    std::uint32_t block = 0;
+    /** For a load, the latest-issuing older same-thread store. */
+    std::uint32_t memOrder = kNone;
+    std::uint32_t issue = kNone;
+    std::uint32_t complete = kNone;
+};
+
+/** Stage ranks within one cycle, in the processor's stage order
+ *  (commit runs first, fetch last), between the virtual ends. */
+enum StageRank : unsigned
+{
+    kStartRank,
+    kCommitRank,
+    kCompleteRank,
+    kIssueRank,
+    kDispatchRank,
+    kFetchRank,
+    kEndRank,
+};
+
+constexpr DdgNodeKind kKindOfRank[] = {
+    DdgNodeKind::Start, DdgNodeKind::Commit,   DdgNodeKind::Complete,
+    DdgNodeKind::Issue, DdgNodeKind::Dispatch, DdgNodeKind::Fetch,
+    DdgNodeKind::End,
+};
+
+constexpr unsigned kRankBits = 3;
 
 } // namespace
 
@@ -312,40 +357,7 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
     sdsp_assert(static_cast<std::uint64_t>(B) * 3 + 2 * N + 2 <
                     (1ull << 31),
                 "DDG too large for 32-bit node indices");
-
-    // Provisional slot numbering (pre-topological-sort):
-    //   [0,B)      Fetch of block b
-    //   [B,2B)     Dispatch of block b
-    //   [2B,3B)    Commit of block b
-    //   [3B,3B+N)  Issue of instruction i
-    //   [3B+N,..)  Complete of instruction i
-    // then Start and End.
-    const std::uint32_t slotStart = 3 * B + 2 * N;
-    const std::uint32_t slotEnd = slotStart + 1;
-    const std::uint32_t numSlots = slotEnd + 1;
-    auto fetchSlot = [&](std::uint32_t b) { return b; };
-    auto dispSlot = [&](std::uint32_t b) { return B + b; };
-    auto commitSlot = [&](std::uint32_t b) { return 2 * B + b; };
-    auto issueSlot = [&](std::uint32_t i) { return 3 * B + i; };
-    auto completeSlot = [&](std::uint32_t i) { return 3 * B + N + i; };
-
-    std::vector<Node> slots(numSlots);
-    for (std::uint32_t b = 0; b < B; ++b) {
-        const DdgBlock &block = trace.blocks[b];
-        slots[fetchSlot(b)] = {DdgNodeKind::Fetch, b, block.fetchedAt};
-        slots[dispSlot(b)] = {DdgNodeKind::Dispatch, b,
-                              block.dispatchedAt};
-        slots[commitSlot(b)] = {DdgNodeKind::Commit, b,
-                                block.committedAt};
-    }
-    for (std::uint32_t i = 0; i < N; ++i) {
-        const DdgInst &inst = trace.insts[i];
-        slots[issueSlot(i)] = {DdgNodeKind::Issue, i, inst.issuedAt};
-        slots[completeSlot(i)] = {DdgNodeKind::Complete, i,
-                                  inst.completedAt};
-    }
-    slots[slotStart] = {DdgNodeKind::Start, 0, 0};
-    slots[slotEnd] = {DdgNodeKind::End, 0, measured_};
+    const std::uint32_t numNodes = 3 * B + 2 * N + 2;
 
     // Age order: the processor numbers entries at dispatch, so block
     // and instruction tags order them by age. The instruction table
@@ -356,243 +368,291 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
     const TagIndex blockBySeq(B, [&](std::uint32_t b) {
         return trace.blocks[b].blockSeq;
     });
+    const std::vector<std::uint32_t> blocksByAge =
+        blockBySeq.inTagOrder();
+    const std::vector<std::uint32_t> instsByAge =
+        instBySeq.inTagOrder();
 
     // The fixed topological order: observed time, then pipeline
     // stage rank within the cycle, then age. Both the baseline and
     // every what-if relaxation run in this order. The stage rank
-    // follows the processor's stage order (commit runs first, fetch
-    // last), so an edge with weight 0 between same-cycle events
-    // always goes from a lower to a higher rank. The nodes are listed
-    // by rank (Start, Commit, Complete, Issue, Dispatch, Fetch, End),
-    // each rank in age order, then stably sorted on their cycle.
-    //
-    // Placing the nodes also reads off the baseline orderings backing
-    // the rewireable capacity edges: one block fetches, dispatches and
-    // commits per cycle, and same-cycle issues are in age order, so
-    // filtering the order by node kind gives each stage's order.
-    std::vector<std::uint32_t> pos(numSlots);
-    nodes_.resize(numSlots);
-    std::vector<std::uint32_t> byDispatch, byCommit, byFetch, byIssue;
-    byDispatch.reserve(B);
-    byCommit.reserve(B);
-    byFetch.reserve(B);
-    byIssue.reserve(N);
+    // follows the processor's stage order, so an edge with weight 0
+    // between same-cycle events always goes from a lower to a higher
+    // rank. Each node is one 8-byte key: its cycle above its (rank,
+    // age) index. The keys are listed in index order and stably
+    // sorted on the cycle bits alone.
+    const unsigned ageBits = std::bit_width(std::max(B, N));
+    const unsigned indexBits = kRankBits + ageBits;
+    const std::uint64_t ageMask = (std::uint64_t{1} << ageBits) - 1;
+    const auto keyBuffer = std::make_unique_for_overwrite<std::uint64_t[]>(
+        2 * std::size_t{numNodes});
+    std::uint64_t *keys = keyBuffer.get();
+    std::uint64_t *scratch = keys + numNodes;
     {
-        // Scoped so the sort's buffers are freed before the edge
-        // arrays are allocated.
-        std::vector<CycleSlot> order;
-        order.reserve(numSlots);
-        const std::vector<std::uint32_t> blocksByAge =
-            blockBySeq.inTagOrder();
-        const std::vector<std::uint32_t> instsByAge =
-            instBySeq.inTagOrder();
-        auto list = [&](const std::vector<std::uint32_t> &owners,
-                        auto slot_of) {
-            for (std::uint32_t owner : owners) {
-                const std::uint32_t slot = slot_of(owner);
-                order.push_back({slots[slot].observed, slot});
-            }
+        std::uint32_t k = 0;
+        Cycle allCycles = measured_;
+        auto list = [&](Cycle cycle, unsigned rank, std::uint32_t age) {
+            allCycles |= cycle;
+            keys[k++] = cycle << indexBits |
+                        std::uint64_t{rank} << ageBits | age;
         };
-        order.push_back({0, slotStart});
-        list(blocksByAge, commitSlot);
-        list(instsByAge, completeSlot);
-        list(instsByAge, issueSlot);
-        list(blocksByAge, dispSlot);
-        list(blocksByAge, fetchSlot);
-        order.push_back({measured_, slotEnd});
-        sortByCycle(order);
+        list(0, kStartRank, 0);
+        auto block = [&](std::uint32_t a) -> const DdgBlock & {
+            return trace.blocks[blocksByAge[a]];
+        };
+        auto inst = [&](std::uint32_t a) -> const DdgInst & {
+            return trace.insts[instsByAge[a]];
+        };
+        for (std::uint32_t a = 0; a < B; ++a)
+            list(block(a).committedAt, kCommitRank, a);
+        for (std::uint32_t a = 0; a < N; ++a)
+            list(inst(a).completedAt, kCompleteRank, a);
+        for (std::uint32_t a = 0; a < N; ++a)
+            list(inst(a).issuedAt, kIssueRank, a);
+        for (std::uint32_t a = 0; a < B; ++a)
+            list(block(a).dispatchedAt, kDispatchRank, a);
+        for (std::uint32_t a = 0; a < B; ++a)
+            list(block(a).fetchedAt, kFetchRank, a);
+        list(measured_, kEndRank, 0);
 
-        for (std::uint32_t t = 0; t < numSlots; ++t) {
-            const Node &node = slots[order[t].slot];
-            pos[order[t].slot] = t;
-            nodes_[t] = node;
-            switch (node.kind) {
-              case DdgNodeKind::Fetch:
-                byFetch.push_back(node.owner);
-                break;
-              case DdgNodeKind::Dispatch:
-                byDispatch.push_back(node.owner);
-                break;
-              case DdgNodeKind::Commit:
-                byCommit.push_back(node.owner);
-                break;
-              case DdgNodeKind::Issue:
-                byIssue.push_back(node.owner);
-                break;
-              default:
-                break;
+        const unsigned cycleBits = std::bit_width(allCycles);
+        if (cycleBits + indexBits > 64) {
+            throw std::length_error(format(
+                "DDG: observed cycles need %u bits; the 64-bit sort "
+                "key has %u beside its %u node index bits",
+                cycleBits, 64 - indexBits, indexBits));
+        }
+        sortKeyBits(keys, scratch, numNodes, indexBits, cycleBits);
+    }
+    const std::uint64_t indexMask =
+        (std::uint64_t{1} << indexBits) - 1;
+    sdsp_assert((keys[0] & indexMask) == 0 &&
+                    (keys[numNodes - 1] & indexMask) ==
+                        std::uint64_t{kEndRank} << ageBits,
+                "Start/End not at the ends of the topological order");
+
+    // ---- Pre-pass: each block's and each load's same-thread
+    // predecessors. Blocks are in commit order, which within one
+    // thread is program and fetch order. It also counts the
+    // structural edges, so the edge array is allocated once. ----
+    std::vector<BlockLinks> blockLinks(B);
+    std::vector<InstLinks> instLinks(N);
+    std::uint64_t structural = 0;
+    {
+        struct ThreadState
+        {
+            std::uint32_t lastBlock = kNone;
+            std::uint32_t lastMispredict = kNone;
+            std::uint32_t lastStore = kNone;
+            Cycle lastStoreIssue = 0;
+        };
+        std::vector<ThreadState> threads(cfg_.numThreads);
+        std::uint32_t covered = 0;
+        for (std::uint32_t b = 0; b < B; ++b) {
+            const DdgBlock &block = trace.blocks[b];
+            sdsp_assert(block.firstInst == covered,
+                        "block %u does not follow its predecessor's "
+                        "instructions", b);
+            covered += block.instCount;
+            ThreadState &thread = threads[block.tid];
+            BlockLinks &links = blockLinks[b];
+            links.prevInThread = thread.lastBlock;
+            thread.lastBlock = b;
+            if (thread.lastMispredict != kNone &&
+                trace.insts[thread.lastMispredict].seq < block.blockSeq) {
+                links.recovery = thread.lastMispredict;
+            }
+            structural += (links.prevInThread != kNone) +
+                          (links.recovery != kNone);
+            for (std::uint32_t i = block.firstInst;
+                 i < block.firstInst + block.instCount; ++i) {
+                const DdgInst &inst = trace.insts[i];
+                instLinks[i].block = b;
+                if (inst.isLoad)
+                    instLinks[i].memOrder = thread.lastStore;
+                if (inst.isStore &&
+                    inst.issuedAt >= thread.lastStoreIssue) {
+                    thread.lastStore = i;
+                    thread.lastStoreIssue = inst.issuedAt;
+                }
+                if (inst.mispredicted)
+                    thread.lastMispredict = i;
+                const Cycle lat =
+                    cfg_.fu.latencyOf(inst.fuClass) + inst.missExtra;
+                structural += (inst.waitSeq[0] != 0) +
+                              (inst.waitSeq[1] != 0) +
+                              (instLinks[i].memOrder != kNone) +
+                              (inst.completedAt - inst.issuedAt > lat);
             }
         }
-    }
-    sdsp_assert(nodes_.front().kind == DdgNodeKind::Start &&
-                    nodes_.back().kind == DdgNodeKind::End,
-                "Start/End not at the ends of the topological order");
-    for (std::uint32_t r = 1; r < B; ++r) {
-        const DdgBlock &prev = trace.blocks[byFetch[r - 1]];
-        const DdgBlock &cur = trace.blocks[byFetch[r]];
-        sdsp_assert(prev.fetchedAt < cur.fetchedAt &&
-                        trace.blocks[byDispatch[r - 1]].dispatchedAt <
-                            trace.blocks[byDispatch[r]].dispatchedAt &&
-                        trace.blocks[byCommit[r - 1]].committedAt <
-                            trace.blocks[byCommit[r]].committedAt,
-                    "two blocks share a fetch, dispatch or commit "
-                    "cycle");
+        sdsp_assert(covered == N,
+                    "recorded instructions outside a closed block");
+        // Per block: fetch latch, dispatch pipe, commit queue and
+        // drain tail; per instruction: issue pipe, execute and commit.
+        structural += 4 * std::uint64_t{B} + 3 * std::uint64_t{N};
     }
 
-    commitOrder_.resize(B);
+    // ---- The visit: each node in topological order, its in-edges
+    // appended straight into the CSR. Every edge is validated against
+    // the observed times (soundness: t(src) + w <= t(dst)) and must
+    // come from an already visited node (forward order). The best
+    // incoming candidate is tracked so the node can be made tight:
+    // the first strictly larger candidate wins. The baseline
+    // orderings backing the rewireable capacity edges are read off
+    // as their nodes are reached. ----
+    nodes_.reserve(numNodes);
+    edgeStart_.reserve(numNodes + 1);
+    // A residual edge can only reach a Fetch, Dispatch, Issue or
+    // Commit node: the writeback edge keeps each Complete node tight
+    // and the drain tail the End node (the reservation is a hint;
+    // the array still grows should that ever fail).
+    edges_.reserve(structural + 3 * std::size_t{B} + N + 1);
+    commitOrder_.reserve(B);
     dispatchRankOfBlock_.resize(B);
-    for (std::uint32_t r = 0; r < B; ++r) {
-        commitOrder_[r] = pos[commitSlot(byCommit[r])];
-        dispatchRankOfBlock_[byDispatch[r]] = r;
-    }
-    issueOrder_.resize(N);
+    issueOrder_.reserve(N);
     issueRankOfInst_.resize(N);
-    for (std::uint32_t r = 0; r < N; ++r) {
-        issueOrder_[r] = pos[issueSlot(byIssue[r])];
-        issueRankOfInst_[byIssue[r]] = r;
-    }
-
-    // ---- Edge construction. Every edge is validated against the
-    // observed times (soundness: t(src) + w <= t(dst)), and the best
-    // incoming candidate per node is tracked so the residual pass
-    // can make each node tight. ----
-    struct Pending
-    {
-        std::uint32_t dst;
-        Edge edge;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(static_cast<std::size_t>(8) * N + 8 * B + 4);
-
-    constexpr Cycle kNoCandidate = ~Cycle{0};
-    std::vector<Cycle> bestTime(numSlots, kNoCandidate);
-    std::vector<std::uint32_t> bestSrc(numSlots, slotStart);
-
-    auto addEdge = [&](std::uint32_t dst_slot, std::uint32_t src_slot,
-                       EdgeClass cls, Cycle baseline_w,
-                       std::uint32_t stored_w, FuClass fu_cls,
-                       std::uint32_t miss_extra) {
-        const Cycle src_t = slots[src_slot].observed;
-        const Cycle dst_t = slots[dst_slot].observed;
-        sdsp_assert(src_t + baseline_w <= dst_t,
-                    "unsound %s edge: src@%llu + %llu > dst@%llu",
-                    edgeClassName(cls),
-                    static_cast<unsigned long long>(src_t),
-                    static_cast<unsigned long long>(baseline_w),
-                    static_cast<unsigned long long>(dst_t));
-        sdsp_assert(pos[src_slot] < pos[dst_slot],
-                    "%s edge not forward in the topological order",
-                    edgeClassName(cls));
-        Edge edge;
-        edge.src = pos[src_slot];
-        edge.cls = cls;
-        edge.fuClass = fu_cls;
-        edge.weight = stored_w;
-        edge.missExtra = miss_extra;
-        pending.push_back({pos[dst_slot], edge});
-        Cycle cand = src_t + baseline_w;
-        if (bestTime[dst_slot] == kNoCandidate ||
-            cand > bestTime[dst_slot]) {
-            bestTime[dst_slot] = cand;
-            bestSrc[dst_slot] = src_slot;
-        }
-    };
-    auto addSimple = [&](std::uint32_t dst_slot,
-                         std::uint32_t src_slot, EdgeClass cls,
-                         Cycle w) {
-        addEdge(dst_slot, src_slot, cls, w,
-                static_cast<std::uint32_t>(w), FuClass::IntAlu, 0);
-    };
-    // Dynamic (rewireable) baseline candidate: not stored as an
-    // edge, but counted toward tightness so no residual shadows it.
-    auto addDynamicCandidate = [&](std::uint32_t dst_slot,
-                                   std::uint32_t src_slot, Cycle w) {
-        const Cycle src_t = slots[src_slot].observed;
-        sdsp_assert(src_t + w <= slots[dst_slot].observed,
-                    "unsound capacity candidate");
-        Cycle cand = src_t + w;
-        if (bestTime[dst_slot] == kNoCandidate ||
-            cand > bestTime[dst_slot]) {
-            bestTime[dst_slot] = cand;
-            bestSrc[dst_slot] = src_slot;
-        }
-    };
-
-    // Per-thread traversal state (blocks in the trace are in commit
-    // order; within one thread that equals program/fetch order).
-    std::vector<std::int64_t> prevBlockOfThread(cfg_.numThreads, -1);
-    std::vector<std::int64_t> lastMispredict(cfg_.numThreads, -1);
-    struct LastStore
-    {
-        std::int64_t inst = -1;
-        Cycle issuedAt = 0;
-    };
-    std::vector<LastStore> lastStore(cfg_.numThreads);
 
     const unsigned baseBlocks = cfg_.suBlocks();
     const unsigned baseWidth = cfg_.issueWidth;
+    const Cycle rawLatency = cfg_.bypassing ? 0 : 1;
+    std::uint32_t prevFetch = kNone;    // block fetched last
+    std::uint32_t prevDispatch = kNone; // node dispatched last
+    std::uint32_t dispatchRank = 0;
 
-    for (std::uint32_t r = 0; r < B; ++r) {
-        // Walk blocks in global fetch order so the latch-occupancy
-        // chain and the per-thread chains can be built in one pass
-        // (per-thread fetch order equals per-thread commit order).
-        const std::uint32_t b = byFetch[r];
-        const DdgBlock &block = trace.blocks[b];
-        const ThreadId tid = block.tid;
+    constexpr Cycle kNoCandidate = ~Cycle{0};
+    for (std::uint32_t t = 0; t < numNodes; ++t) {
+        const std::uint64_t key = keys[t];
+        const Cycle observed = key >> indexBits;
+        const unsigned rank =
+            static_cast<unsigned>((key & indexMask) >> ageBits);
+        const auto age = static_cast<std::uint32_t>(key & ageMask);
+        const DdgNodeKind kind = kKindOfRank[rank];
+        std::uint32_t owner = 0;
+        if (rank == kCommitRank || rank == kDispatchRank ||
+            rank == kFetchRank) {
+            owner = blocksByAge[age];
+        } else if (rank == kCompleteRank || rank == kIssueRank) {
+            owner = instsByAge[age];
+        }
+        nodes_.push_back({kind, owner, observed});
+        edgeStart_.push_back(static_cast<std::uint32_t>(edges_.size()));
 
-        // Fetch: latch freed by the previous block's dispatch, the
-        // same thread's previous fetch, and — after a mispredict —
-        // the resolving branch's writeback.
-        if (r > 0) {
-            addSimple(fetchSlot(b), dispSlot(byFetch[r - 1]),
-                      EdgeClass::FetchLatch, 0);
-        }
-        if (prevBlockOfThread[tid] >= 0) {
-            // One block fetches per cycle, so consecutive same-thread
-            // fetches are at least one cycle apart. (The rotation
-            // spacing of round-robin policies is NOT modeled as a
-            // hard edge — TrueRR skips finished threads, so the gap
-            // can legally shrink to 1; lost rotations surface as
-            // fetchStall residuals instead.)
-            addSimple(fetchSlot(b),
-                      fetchSlot(static_cast<std::uint32_t>(
-                          prevBlockOfThread[tid])),
-                      EdgeClass::FetchChain, 1);
-        }
-        if (lastMispredict[tid] >= 0) {
-            const auto p =
-                static_cast<std::uint32_t>(lastMispredict[tid]);
-            if (trace.insts[p].seq < block.blockSeq) {
-                addSimple(fetchSlot(b), completeSlot(p),
+        Cycle bestTime = kNoCandidate;
+        std::uint32_t bestSrc = 0;
+        auto candidate = [&](std::uint32_t src, Cycle cand) {
+            if (bestTime == kNoCandidate || cand > bestTime) {
+                bestTime = cand;
+                bestSrc = src;
+            }
+        };
+        auto addEdge = [&](std::uint32_t src, Cycle src_t,
+                           EdgeClass cls, Cycle baseline_w,
+                           std::uint32_t stored_w, FuClass fu_cls,
+                           std::uint32_t miss_extra) {
+            sdsp_assert(src_t + baseline_w <= observed,
+                        "unsound %s edge: src@%llu + %llu > dst@%llu",
+                        edgeClassName(cls),
+                        static_cast<unsigned long long>(src_t),
+                        static_cast<unsigned long long>(baseline_w),
+                        static_cast<unsigned long long>(observed));
+            sdsp_assert(src < t,
+                        "%s edge not forward in the topological order",
+                        edgeClassName(cls));
+            edges_.push_back({src, cls, fu_cls, stored_w, miss_extra});
+            candidate(src, src_t + baseline_w);
+        };
+        auto addSimple = [&](std::uint32_t src, Cycle src_t,
+                             EdgeClass cls, Cycle w) {
+            addEdge(src, src_t, cls, w, static_cast<std::uint32_t>(w),
+                    FuClass::IntAlu, 0);
+        };
+        // Dynamic (rewireable) baseline candidate: not stored as an
+        // edge, but counted toward tightness so no residual shadows
+        // it. Its source is a visited node of an earlier or equal
+        // cycle, so only the weight can make it unsound.
+        auto addDynamicCandidate = [&](std::uint32_t src, Cycle w) {
+            const Cycle src_t = nodes_[src].observed;
+            sdsp_assert(src_t + w <= observed,
+                        "unsound capacity candidate");
+            candidate(src, src_t + w);
+        };
+        // Two blocks never share a fetch, dispatch or commit cycle:
+        // one block moves through each of those stages per cycle.
+        auto distinctCycle = [&](Cycle previous) {
+            sdsp_assert(previous < observed,
+                        "two blocks share a fetch, dispatch or commit "
+                        "cycle");
+        };
+
+        switch (kind) {
+          case DdgNodeKind::Start:
+            continue; // time 0, no in-edges
+          case DdgNodeKind::Fetch: {
+            // Latch freed by the previous block's dispatch, the same
+            // thread's previous fetch, and — after a mispredict — the
+            // resolving branch's writeback.
+            BlockLinks &links = blockLinks[owner];
+            if (prevFetch != kNone) {
+                distinctCycle(trace.blocks[prevFetch].fetchedAt);
+                addSimple(blockLinks[prevFetch].dispatch,
+                          trace.blocks[prevFetch].dispatchedAt,
+                          EdgeClass::FetchLatch, 0);
+            }
+            if (links.prevInThread != kNone) {
+                // One block fetches per cycle, so consecutive
+                // same-thread fetches are at least one cycle apart.
+                // (The rotation spacing of round-robin policies is
+                // NOT modeled as a hard edge — TrueRR skips finished
+                // threads, so the gap can legally shrink to 1; lost
+                // rotations surface as fetchStall residuals instead.)
+                addSimple(blockLinks[links.prevInThread].fetch,
+                          trace.blocks[links.prevInThread].fetchedAt,
+                          EdgeClass::FetchChain, 1);
+            }
+            if (links.recovery != kNone) {
+                addSimple(instLinks[links.recovery].complete,
+                          trace.insts[links.recovery].completedAt,
                           EdgeClass::BranchRecovery, 0);
             }
-        }
-        prevBlockOfThread[tid] = b;
-
-        // Dispatch: decode takes one cycle past the latch, and the
-        // SU must have a free block (capacity candidate).
-        addSimple(dispSlot(b), fetchSlot(b), EdgeClass::DispatchPipe,
-                  1);
-        const std::uint32_t n = dispatchRankOfBlock_[b];
-        if (n >= baseBlocks) {
-            addDynamicCandidate(
-                dispSlot(b), commitSlot(byCommit[n - baseBlocks]), 0);
-        }
-
-        for (std::uint32_t k = 0; k < block.instCount; ++k) {
-            const std::uint32_t i = block.firstInst + k;
-            const DdgInst &inst = trace.insts[i];
-
-            // Issue: one cycle past dispatch, register RAW on the
-            // recorded in-flight producers, memory disambiguation
-            // behind the latest-issuing older same-thread store, and
-            // the issue-bandwidth chain (capacity candidate).
-            addSimple(issueSlot(i), dispSlot(b), EdgeClass::IssuePipe,
-                      1);
+            links.fetch = t;
+            prevFetch = owner;
+            break;
+          }
+          case DdgNodeKind::Dispatch: {
+            // Decode takes one cycle past the latch, and the SU must
+            // have a free block (capacity candidate): the commit
+            // baseBlocks ranks back, which the visit has reached
+            // unless it is a later cycle.
+            if (prevDispatch != kNone)
+                distinctCycle(nodes_[prevDispatch].observed);
+            prevDispatch = t;
+            BlockLinks &links = blockLinks[owner];
+            addSimple(links.fetch, trace.blocks[owner].fetchedAt,
+                      EdgeClass::DispatchPipe, 1);
+            const std::uint32_t n = dispatchRank++;
+            dispatchRankOfBlock_[owner] = n;
+            if (n >= baseBlocks) {
+                sdsp_assert(n - baseBlocks < commitOrder_.size(),
+                            "unsound capacity candidate");
+                addDynamicCandidate(commitOrder_[n - baseBlocks], 0);
+            }
+            links.dispatch = t;
+            break;
+          }
+          case DdgNodeKind::Issue: {
+            // One cycle past dispatch, register RAW on the recorded
+            // in-flight producers, memory disambiguation behind the
+            // latest-issuing older same-thread store, and the
+            // issue-bandwidth chain (capacity candidate).
+            const DdgInst &inst = trace.insts[owner];
+            InstLinks &links = instLinks[owner];
+            addSimple(blockLinks[links.block].dispatch,
+                      trace.blocks[links.block].dispatchedAt,
+                      EdgeClass::IssuePipe, 1);
             for (Tag producer_seq : inst.waitSeq) {
                 if (!producer_seq)
                     continue;
-                std::int64_t p = instBySeq.find(producer_seq);
+                const std::int64_t p = instBySeq.find(producer_seq);
                 sdsp_assert(p >= 0,
                             "RAW producer %llu of committed %llu "
                             "missing from the trace",
@@ -601,111 +661,113 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
                             static_cast<unsigned long long>(inst.seq));
                 // Stored weight 0: the what-if's bypass cycle is the
                 // Raw row of the resolved addend table.
-                addEdge(issueSlot(i),
-                        completeSlot(static_cast<std::uint32_t>(p)),
-                        EdgeClass::Raw, cfg_.bypassing ? 0 : 1, 0,
-                        FuClass::IntAlu, 0);
+                addEdge(instLinks[p].complete,
+                        trace.insts[p].completedAt, EdgeClass::Raw,
+                        rawLatency, 0, FuClass::IntAlu, 0);
             }
-            if (inst.isLoad && lastStore[tid].inst >= 0) {
-                addSimple(issueSlot(i),
-                          issueSlot(static_cast<std::uint32_t>(
-                              lastStore[tid].inst)),
+            if (links.memOrder != kNone) {
+                addSimple(instLinks[links.memOrder].issue,
+                          trace.insts[links.memOrder].issuedAt,
                           EdgeClass::MemOrder, 0);
             }
-            if (inst.isStore &&
-                inst.issuedAt >= lastStore[tid].issuedAt) {
-                lastStore[tid] = {static_cast<std::int64_t>(i),
-                                  inst.issuedAt};
-            }
-            const std::uint32_t rank = issueRankOfInst_[i];
-            if (rank >= baseWidth) {
-                const std::uint32_t older =
-                    byIssue[rank - baseWidth];
-                addDynamicCandidate(issueSlot(i), issueSlot(older),
-                                    1);
-            }
-
-            // Complete: FU latency plus any recorded miss cycles;
-            // writeback-port contention beyond that becomes an
-            // explicit residual edge that keeps the latency terms
-            // parameterized (so perfect-cache / FU what-ifs still
-            // bite on contended instructions).
+            const auto issued =
+                static_cast<std::uint32_t>(issueOrder_.size());
+            issueRankOfInst_[owner] = issued;
+            if (issued >= baseWidth)
+                addDynamicCandidate(issueOrder_[issued - baseWidth], 1);
+            issueOrder_.push_back(t);
+            links.issue = t;
+            break;
+          }
+          case DdgNodeKind::Complete: {
+            // FU latency plus any recorded miss cycles; writeback-port
+            // contention beyond that becomes an explicit residual edge
+            // that keeps the latency terms parameterized (so
+            // perfect-cache / FU what-ifs still bite on contended
+            // instructions).
+            const DdgInst &inst = trace.insts[owner];
+            InstLinks &links = instLinks[owner];
             const Cycle lat =
                 cfg_.fu.latencyOf(inst.fuClass) + inst.missExtra;
             const EdgeClass exec_cls = inst.missExtra
                                            ? EdgeClass::CacheMiss
                                            : EdgeClass::Execute;
-            addEdge(completeSlot(i), issueSlot(i), exec_cls, lat, 0,
-                    inst.fuClass,
-                    static_cast<std::uint32_t>(inst.missExtra));
+            const auto miss =
+                static_cast<std::uint32_t>(inst.missExtra);
+            addEdge(links.issue, inst.issuedAt, exec_cls, lat, 0,
+                    inst.fuClass, miss);
             const Cycle observed_exec =
                 inst.completedAt - inst.issuedAt;
             if (observed_exec > lat) {
-                addEdge(completeSlot(i), issueSlot(i),
+                addEdge(links.issue, inst.issuedAt,
                         EdgeClass::Writeback, observed_exec,
-                        static_cast<std::uint32_t>(observed_exec -
-                                                   lat),
-                        inst.fuClass,
-                        static_cast<std::uint32_t>(inst.missExtra));
+                        static_cast<std::uint32_t>(observed_exec - lat),
+                        inst.fuClass, miss);
             }
-
-            // Commit: the block retires the cycle after its last
-            // result writes back, at the earliest.
-            addSimple(commitSlot(b), completeSlot(i),
-                      EdgeClass::CommitComplete, 1);
-
-            if (inst.mispredicted)
-                lastMispredict[tid] = static_cast<std::int64_t>(i);
+            links.complete = t;
+            break;
+          }
+          case DdgNodeKind::Commit: {
+            // The block retires the cycle after its last result
+            // writes back, at the earliest, and one block retires per
+            // cycle machine wide — a true structural bound, so it is
+            // a hard chain.
+            const DdgBlock &block = trace.blocks[owner];
+            for (std::uint32_t i = block.firstInst;
+                 i < block.firstInst + block.instCount; ++i) {
+                addSimple(instLinks[i].complete,
+                          trace.insts[i].completedAt,
+                          EdgeClass::CommitComplete, 1);
+            }
+            if (!commitOrder_.empty()) {
+                const std::uint32_t prev = commitOrder_.back();
+                distinctCycle(nodes_[prev].observed);
+                addSimple(prev, nodes_[prev].observed,
+                          EdgeClass::CommitQueue, 1);
+            }
+            commitOrder_.push_back(t);
+            blockLinks[owner].commit = t;
+            break;
+          }
+          case DdgNodeKind::End: {
+            // Every block's commit precedes the end of the run; the
+            // last commit carries the observed drain tail
+            // (store-buffer and FU drain after the final retirement).
+            for (std::uint32_t b = 0; b < B; ++b) {
+                addSimple(blockLinks[b].commit,
+                          trace.blocks[b].committedAt,
+                          EdgeClass::DrainTail, 0);
+            }
+            if (B > 0) {
+                const std::uint32_t last = commitOrder_.back();
+                addSimple(last, nodes_[last].observed,
+                          EdgeClass::DrainTail,
+                          measured_ - nodes_[last].observed);
+            }
+            break;
+          }
         }
-    }
 
-    // Commit serialization: one block retires per cycle, machine
-    // wide — a true structural bound, so it is a hard chain.
-    for (std::uint32_t r = 1; r < B; ++r) {
-        addSimple(commitSlot(byCommit[r]),
-                  commitSlot(byCommit[r - 1]), EdgeClass::CommitQueue,
-                  1);
-    }
-
-    // End: every block's commit precedes the end of the run; the
-    // last commit carries the observed drain tail (store-buffer and
-    // FU drain after the final retirement).
-    for (std::uint32_t b = 0; b < B; ++b)
-        addSimple(slotEnd, commitSlot(b), EdgeClass::DrainTail, 0);
-    if (B > 0) {
-        const std::uint32_t last = byCommit[B - 1];
-        addSimple(slotEnd, commitSlot(last), EdgeClass::DrainTail,
-                  measured_ -
-                      trace.blocks[last].committedAt);
-    }
-
-    // ---- Residual pass: give every node a tight incoming edge so
-    // the baseline relaxation reproduces every observed time
-    // exactly. The class records the evidence the simulator left
-    // about WHY the structural edges fall short. ----
-    for (std::uint32_t s = 0; s < numSlots; ++s) {
-        if (s == slotStart)
+        // ---- Residual: give the node a tight incoming edge so the
+        // baseline relaxation reproduces every observed time exactly.
+        // The class records the evidence the simulator left about
+        // WHY the structural edges fall short. ----
+        if (bestTime == observed)
             continue;
-        const Node &node = slots[s];
-        if (bestTime[s] != kNoCandidate &&
-            bestTime[s] == node.observed) {
-            continue;
-        }
-        sdsp_assert(bestTime[s] == kNoCandidate ||
-                        bestTime[s] < node.observed,
-                    "structural edges overshoot node %u", s);
+        sdsp_assert(bestTime == kNoCandidate || bestTime < observed,
+                    "structural edges overshoot node %u", t);
         const std::uint32_t src =
-            bestTime[s] == kNoCandidate ? slotStart : bestSrc[s];
-        const Cycle w = node.observed - slots[src].observed;
+            bestTime == kNoCandidate ? 0 : bestSrc;
+        const Cycle src_t = nodes_[src].observed;
         EdgeClass cls = EdgeClass::Source;
-        if (src != slotStart) {
-            switch (node.kind) {
+        if (src != 0) {
+            switch (kind) {
               case DdgNodeKind::Fetch:
                 cls = EdgeClass::FetchStall;
                 break;
               case DdgNodeKind::Dispatch: {
                 DispatchWaitCause cause =
-                    trace.blocks[node.owner].dispatchWaitCause;
+                    trace.blocks[owner].dispatchWaitCause;
                 cls = cause == DispatchWaitCause::SuFull
                           ? EdgeClass::SuCapacity
                           : cause == DispatchWaitCause::Scoreboard
@@ -714,7 +776,7 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
                 break;
               }
               case DdgNodeKind::Issue: {
-                const DdgInst &inst = trace.insts[node.owner];
+                const DdgInst &inst = trace.insts[owner];
                 // Trust the recorded cause only if the failed
                 // attempt immediately preceded the issue; an
                 // earlier, stale failure means the final wait was
@@ -755,23 +817,11 @@ DdgGraph::DdgGraph(const DdgTrace &trace, const MachineConfig &config,
                 break;
             }
         }
-        addEdge(s, src, cls, w, static_cast<std::uint32_t>(w),
+        const Cycle w = observed - src_t;
+        addEdge(src, src_t, cls, w, static_cast<std::uint32_t>(w),
                 FuClass::IntAlu, 0);
     }
-
-    // ---- CSR by destination (counting sort keeps build O(E)). ----
-    edgeStart_.assign(numSlots + 1, 0);
-    for (const Pending &p : pending)
-        ++edgeStart_[p.dst + 1];
-    for (std::uint32_t t = 0; t < numSlots; ++t)
-        edgeStart_[t + 1] += edgeStart_[t];
-    edges_.resize(pending.size());
-    {
-        std::vector<std::uint32_t> cursor(edgeStart_.begin(),
-                                          edgeStart_.end() - 1);
-        for (const Pending &p : pending)
-            edges_[cursor[p.dst]++] = p.edge;
-    }
+    edgeStart_.push_back(static_cast<std::uint32_t>(edges_.size()));
 }
 
 // --------------------------------------------------------------------

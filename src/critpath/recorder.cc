@@ -1,6 +1,6 @@
 #include "critpath/ddg.hh"
 
-#include "isa/instruction.hh"
+#include "common/bitfield.hh"
 
 namespace sdsp
 {
@@ -10,30 +10,27 @@ DdgRecorder::emit(const TraceEvent &event)
 {
     switch (event.kind) {
       case TraceEventKind::CommitInst: {
-        DdgInst inst;
+        if (trace_.insts.size() == pendingFirst_) {
+            pendingFetchedAt_ = event.args[0];
+            pendingDispatchedAt_ = event.args[1];
+            pendingWaitCause_ = event.dispatchWaitCause;
+        }
+        // The opcode field indexes the static table; a committed
+        // word always holds a defined opcode.
+        const OpInfo &info =
+            opInfo(static_cast<Opcode>(bits(event.word, 31, 24)));
+        DdgInst &inst = trace_.insts.emplace_back();
         inst.seq = event.seq;
-        inst.tid = event.tid;
-        inst.pc = event.pc;
-        inst.fetchedAt = event.args[0];
-        inst.dispatchedAt = event.args[1];
         inst.issuedAt = event.args[2];
         inst.completedAt = event.args[3];
-        inst.committedAt = event.cycle;
-        inst.readyAt = event.readyAt;
-        inst.wakeupSeq = event.wakeupSeq;
         inst.waitSeq = event.waitSeq;
         inst.missExtra = event.missExtra;
-        inst.issueBlockCause = event.issueBlockCause;
         inst.issueBlockCycle = event.issueBlockCycle;
-        inst.dispatchWaitCause = event.dispatchWaitCause;
+        inst.issueBlockCause = event.issueBlockCause;
+        inst.fuClass = info.fuClass;
         inst.mispredicted = event.mispredicted;
-        Instruction decoded = Instruction::decode(event.word);
-        inst.isLoad = decoded.isLoad();
-        inst.isStore = decoded.isStore();
-        inst.fuClass = decoded.info().fuClass;
-        inst.block =
-            static_cast<std::uint32_t>(trace_.blocks.size());
-        trace_.insts.push_back(inst);
+        inst.isLoad = info.flags & kIsLoad;
+        inst.isStore = info.flags & kIsStore;
         break;
       }
       case TraceEventKind::CommitBlock: {
@@ -46,10 +43,9 @@ DdgRecorder::emit(const TraceEvent &event)
         block.tid = event.tid;
         block.blockSeq = event.seq;
         block.committedAt = event.cycle;
-        const DdgInst &head = trace_.insts[first];
-        block.fetchedAt = head.fetchedAt;
-        block.dispatchedAt = head.dispatchedAt;
-        block.dispatchWaitCause = head.dispatchWaitCause;
+        block.fetchedAt = pendingFetchedAt_;
+        block.dispatchedAt = pendingDispatchedAt_;
+        block.dispatchWaitCause = pendingWaitCause_;
         block.firstInst = first;
         block.instCount = end - first;
         trace_.blocks.push_back(block);

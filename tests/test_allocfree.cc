@@ -11,8 +11,13 @@
  * (writing into a stream that discards its bytes): recording formats
  * each line in place.
  *
- * The global operator new of this binary counts allocations while a
- * flag is set; the flag is only set around the measured cycle loop.
+ * The dependence-graph build is held to a byte budget instead: it may
+ * allocate, beyond the graph it returns, at most as many bytes as
+ * that graph holds.
+ *
+ * The global operator new of this binary counts allocations and their
+ * bytes while a flag is set; the flag is only set around the measured
+ * code.
  */
 
 #include <cstdlib>
@@ -24,6 +29,8 @@
 #include <gtest/gtest.h>
 
 #include "core/processor.hh"
+#include "critpath/ddg.hh"
+#include "harness/runner.hh"
 #include "trace_frontend/trace_format.hh"
 #include "workloads/workload.hh"
 
@@ -32,12 +39,15 @@ namespace
 
 bool g_counting = false;
 std::size_t g_allocs = 0;
+std::size_t g_bytes = 0;
 
 void *
 countedAlloc(std::size_t size)
 {
-    if (g_counting)
+    if (g_counting) {
         ++g_allocs;
+        g_bytes += size;
+    }
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -230,6 +240,43 @@ TEST(AllocFree, GroupTwoWorkloadSteadyState)
     }
     ASSERT_NE(pick, nullptr);
     expectAllocFree(*pick, machine(6));
+}
+
+TEST(AllocFree, GraphBuildStaysWithinTheGraphsOwnBytes)
+{
+    // Building the graph touches each committed instruction once: its
+    // temporaries (sort keys, tag tables, per-node links, the slack of
+    // the edge array) may add at most the finished graph's own bytes.
+    for (const char *name : {"LL5", "Sieve"}) {
+        SCOPED_TRACE(name);
+        const MachineConfig cfg = machine(4);
+        DdgRecorder recorder;
+        const RunResult run =
+            runWorkload(workloadByName(name), cfg, 10, &recorder);
+        ASSERT_TRUE(run.finished && run.verified);
+
+        g_bytes = 0;
+        g_counting = true;
+        const DdgGraph graph(recorder.trace(), cfg, run.cycles);
+        g_counting = false;
+        ASSERT_EQ(graph.verifyExact(), "");
+
+        // Nodes, CSR offsets, edges and the four baseline orderings
+        // (commit and issue order, dispatch and issue rank).
+        const DdgTrace &trace = recorder.trace();
+        const std::size_t held =
+            graph.nodes().size() * sizeof(DdgGraph::Node) +
+            graph.edgeStart().size() * sizeof(std::uint32_t) +
+            graph.edges().size() * sizeof(DdgGraph::Edge) +
+            2 * (trace.blocks.size() + trace.insts.size()) *
+                sizeof(std::uint32_t);
+        EXPECT_LE(g_bytes, 2 * held)
+            << "the build allocated " << g_bytes << " bytes for a graph "
+            << "of " << held << " (x"
+            << static_cast<double>(g_bytes - held) /
+                   static_cast<double>(held)
+            << " beyond it)";
+    }
 }
 
 } // namespace
