@@ -25,33 +25,48 @@ ExploreRecording
 recordBaseline(const Workload &workload, const MachineConfig &config,
                unsigned scale)
 {
-    ExploreRecording recording;
-    recording.source = &workload;
-    recording.workload = workload.name();
-    recording.threads = config.numThreads;
+    return std::move(recordBaselines({&workload}, config, scale, 1).front());
+}
 
-    SweepJob job{&workload, config, scale, "baseline"};
-    job.record = true;
-    SweepRunner runner(1);
-    runner.add(std::move(job));
-    JobOutcome outcome = std::move(runner.runAll().front());
-    const RunResult &run = outcome.result;
-    if (outcome.ok()) {
-        recording.measured = run.cycles;
-        recording.committed = run.committed;
-        recording.buildSeconds = outcome.graphSeconds;
-        recording.graph = std::move(outcome.graph);
-    } else if (run.finished && !run.verified) {
-        recording.error = "failed verification: " + outcome.error;
-    } else if (!run.finished && run.cycles) {
-        // Stopped at a cycle cap or budget; a thrown attempt never
-        // simulated a cycle.
-        recording.error = "did not finish: " + outcome.error;
-    } else {
-        // Thrown, or "inexact critical path: ..." from the sweep.
-        recording.error = outcome.error;
+std::vector<ExploreRecording>
+recordBaselines(const std::vector<const Workload *> &workloads,
+                const MachineConfig &config, unsigned scale,
+                unsigned jobs)
+{
+    SweepRunner runner(jobs);
+    for (const Workload *workload : workloads) {
+        SweepJob job{workload, config, scale, "baseline"};
+        job.record = true;
+        runner.add(std::move(job));
     }
-    return recording;
+    std::vector<JobOutcome> outcomes = runner.runAll();
+
+    std::vector<ExploreRecording> recordings(workloads.size());
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        ExploreRecording &recording = recordings[i];
+        recording.source = workloads[i];
+        recording.workload = workloads[i]->name();
+        recording.threads = config.numThreads;
+
+        JobOutcome &outcome = outcomes[i];
+        const RunResult &run = outcome.result;
+        if (outcome.ok()) {
+            recording.measured = run.cycles;
+            recording.committed = run.committed;
+            recording.buildSeconds = outcome.graphSeconds;
+            recording.graph = std::move(outcome.graph);
+        } else if (run.finished && !run.verified) {
+            recording.error = "failed verification: " + outcome.error;
+        } else if (!run.finished && run.cycles) {
+            // Stopped at a cycle cap or budget; a thrown attempt never
+            // simulated a cycle.
+            recording.error = "did not finish: " + outcome.error;
+        } else {
+            // Thrown, or "inexact critical path: ..." from the sweep.
+            recording.error = outcome.error;
+        }
+    }
+    return recordings;
 }
 
 void

@@ -55,6 +55,18 @@ ExploreRecording recordBaseline(const Workload &workload,
                                 unsigned scale);
 
 /**
+ * Record every one of @p workloads on @p config at @p scale as one
+ * recorded sweep on @p jobs worker threads (0 = the sweep's default).
+ * The recordings come back in @p workloads order, each as
+ * recordBaseline() returns it, so the result is the same for any job
+ * count.
+ */
+std::vector<ExploreRecording>
+recordBaselines(const std::vector<const Workload *> &workloads,
+                const MachineConfig &config, unsigned scale,
+                unsigned jobs);
+
+/**
  * Fill every point's per-recording projections and total via
  * DdgGraph::relax on @p jobs worker threads (parallelFor). Points
  * are independent, so the result is bit-identical for any job count.

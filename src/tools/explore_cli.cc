@@ -190,7 +190,8 @@ runExploreCli(const ExploreCliOptions &options, std::ostream &out)
     base.numThreads = options.threads;
     base.finalize();
 
-    // ---- Record the baselines (one real simulation each). ----
+    // ---- Record the baselines: one recorded sweep on `jobs`
+    // workers, one real simulation per workload. ----
     std::vector<const Workload *> sources;
     for (const std::string &name : options.workloads) {
         const Workload *workload = findWorkload(name);
@@ -203,10 +204,8 @@ runExploreCli(const ExploreCliOptions &options, std::ostream &out)
     }
 
     auto record_start = std::chrono::steady_clock::now();
-    std::vector<ExploreRecording> recordings(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i)
-        recordings[i] = recordBaseline(*sources[i], base,
-                                       options.scale);
+    std::vector<ExploreRecording> recordings =
+        recordBaselines(sources, base, options.scale, jobs);
     auto record_end = std::chrono::steady_clock::now();
 
     Cycle baselineTotal = 0;

@@ -2,9 +2,10 @@
  * @file
  * Tests for the design-space lattice explorer: lattice enumeration
  * (size, unique names, exactly one Exact point), the additive cost
- * model, confidence-class propagation into the projections, the
- * Pareto-frontier invariants (no dominated point, no pessimistic
- * bound, determinism across job counts), frontier validation against
+ * model, recordings independent of the job count, confidence-class
+ * propagation into the projections, the Pareto-frontier invariants
+ * (no dominated point, no pessimistic bound, determinism across job
+ * counts), frontier validation against
  * real re-simulations, the scale-tolerance rule and the five explore
  * gates, the register-budget finalize fix at 8 threads, and the
  * sdsp-explore CLI.
@@ -219,6 +220,42 @@ TEST(Explore, FrontierIsDeterministicAcrossJobCounts)
         return names;
     };
     EXPECT_EQ(frontierWith(1), frontierWith(4));
+}
+
+// ---- Recording ----
+
+TEST(Explore, RecordedSweepIsTheSameAtAnyJobCount)
+{
+    // sdsp-explore records its workloads as one sweep on --jobs
+    // workers; each recording must not depend on the worker count.
+    std::vector<const Workload *> workloads;
+    for (const char *name : {"LL1", "LL5", "Sieve", "Water"})
+        workloads.push_back(&workloadByName(name));
+    const std::vector<ExploreRecording> serial =
+        recordBaselines(workloads, baseConfig(), 10, 1);
+    const std::vector<ExploreRecording> parallel =
+        recordBaselines(workloads, baseConfig(), 10, 4);
+    ASSERT_EQ(serial.size(), workloads.size());
+    ASSERT_EQ(parallel.size(), workloads.size());
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        SCOPED_TRACE(workloads[i]->name());
+        ASSERT_TRUE(serial[i].error.empty()) << serial[i].error;
+        ASSERT_TRUE(parallel[i].error.empty()) << parallel[i].error;
+        EXPECT_EQ(serial[i].workload, workloads[i]->name());
+        EXPECT_EQ(parallel[i].workload, workloads[i]->name());
+        EXPECT_EQ(parallel[i].measured, serial[i].measured);
+        EXPECT_EQ(parallel[i].committed, serial[i].committed);
+        EXPECT_EQ(parallel[i].graph->nodeCount(),
+                  serial[i].graph->nodeCount());
+        EXPECT_EQ(parallel[i].graph->edgeCount(),
+                  serial[i].graph->edgeCount());
+        const RelaxResult a = serial[i].graph->relax(WhatIf{});
+        const RelaxResult b = parallel[i].graph->relax(WhatIf{});
+        EXPECT_EQ(a.cycles, serial[i].measured);
+        EXPECT_EQ(b.cycles, a.cycles);
+        EXPECT_EQ(b.breakdown, a.breakdown);
+        EXPECT_EQ(b.edgeCounts, a.edgeCounts);
+    }
 }
 
 // ---- Frontier validation (real re-simulations) ----
