@@ -13,7 +13,8 @@
  *
  * The dependence-graph build is held to a byte budget instead: it may
  * allocate, beyond the graph it returns, at most as many bytes as
- * that graph holds.
+ * that graph holds. A relaxation of the built graph, and its exactness
+ * check, allocate one array of node times and nothing else.
  *
  * The global operator new of this binary counts allocations and their
  * bytes while a flag is set; the flag is only set around the measured
@@ -261,14 +262,16 @@ TEST(AllocFree, GraphBuildStaysWithinTheGraphsOwnBytes)
         g_counting = false;
         ASSERT_EQ(graph.verifyExact(), "");
 
-        // Nodes, CSR offsets, edges and the four baseline orderings
-        // (commit and issue order, dispatch and issue rank).
+        // Nodes, then per node a CSR offset and a capacity word, per
+        // edge its source, word and miss cycles, and the commit and
+        // issue orders.
         const DdgTrace &trace = recorder.trace();
         const std::size_t held =
             graph.nodes().size() * sizeof(DdgGraph::Node) +
             graph.edgeStart().size() * sizeof(std::uint32_t) +
-            graph.edges().size() * sizeof(DdgGraph::Edge) +
-            2 * (trace.blocks.size() + trace.insts.size()) *
+            graph.nodeCount() * sizeof(std::uint32_t) +
+            graph.edgeCount() * 3 * sizeof(std::uint32_t) +
+            (trace.blocks.size() + trace.insts.size()) *
                 sizeof(std::uint32_t);
         EXPECT_LE(g_bytes, 2 * held)
             << "the build allocated " << g_bytes << " bytes for a graph "
@@ -277,6 +280,50 @@ TEST(AllocFree, GraphBuildStaysWithinTheGraphsOwnBytes)
                    static_cast<double>(held)
             << " beyond it)";
     }
+}
+
+TEST(AllocFree, RelaxAllocatesOnlyItsTimeArray)
+{
+    // Every capacity kind and both D-cache modes: each relaxation
+    // resolves its what-if on the stack and allocates the one array
+    // its times go in.
+    const MachineConfig cfg = machine(4);
+    DdgRecorder recorder;
+    const RunResult run =
+        runWorkload(workloadByName("LL5"), cfg, 10, &recorder);
+    ASSERT_TRUE(run.finished && run.verified);
+    const DdgGraph graph(recorder.trace(), cfg, run.cycles);
+    const std::size_t timeBytes =
+        graph.nodeCount() * sizeof(std::int64_t);
+
+    WhatIf baseline, perfect, smaller, wider;
+    perfect.perfectDCache = true;
+    perfect.fuLatency[static_cast<unsigned>(FuClass::Load)] = 1;
+    smaller.suEntries = 16;
+    smaller.issueWidth = 2;
+    wider.suEntries = 128;
+    wider.issueWidth = 16;
+    wider.infiniteStoreBuffer = true;
+    for (const WhatIf &what_if : {baseline, perfect, smaller, wider}) {
+        SCOPED_TRACE(what_if.describe(cfg));
+        g_allocs = 0;
+        g_bytes = 0;
+        g_counting = true;
+        const RelaxResult result = graph.relax(what_if);
+        g_counting = false;
+        EXPECT_GT(result.cycles, 0u);
+        EXPECT_EQ(g_allocs, 1u);
+        EXPECT_EQ(g_bytes, timeBytes);
+    }
+
+    g_allocs = 0;
+    g_bytes = 0;
+    g_counting = true;
+    const std::string mismatch = graph.verifyExact();
+    g_counting = false;
+    EXPECT_EQ(mismatch, "");
+    EXPECT_EQ(g_allocs, 1u);
+    EXPECT_EQ(g_bytes, timeBytes);
 }
 
 } // namespace
