@@ -36,7 +36,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,23 +61,15 @@ std::vector<std::pair<std::string, WhatIf>>
 whatIfGrid()
 {
     std::vector<std::pair<std::string, WhatIf>> grid;
-    auto add = [&](const std::string &spec) {
-        WhatIf what_if;
-        std::string clause, error;
-        std::istringstream clauses(spec);
-        while (std::getline(clauses, clause, ',')) {
-            if (!what_if.applyKeyValue(clause, &error))
-                fatal("bad what-if %s: %s", spec.c_str(),
-                      error.c_str());
-        }
-        grid.emplace_back(spec, what_if);
-    };
-    add("issueWidth=16");
-    add("suEntries=64");
-    add("perfectDCache=1");
-    add("infiniteStoreBuffer=1");
-    add("bypassing=0");
-    add("issueWidth=16,suEntries=64");
+    for (const char *spec :
+         {"issueWidth=16", "suEntries=64", "perfectDCache=1",
+          "infiniteStoreBuffer=1", "bypassing=0",
+          "issueWidth=16,suEntries=64"}) {
+        WhatIf &what_if = grid.emplace_back(spec, WhatIf{}).second;
+        std::string error;
+        if (!what_if.applyKeyValues(spec, &error))
+            fatal("bad what-if %s: %s", spec, error.c_str());
+    }
     return grid;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitfield.hh"
 #include "common/logging.hh"
 
 namespace sdsp
@@ -34,6 +35,34 @@ baseLatencies(FuConfig cfg)
     cfg.pipelined[idx(FuClass::IntDiv)] = false;
     cfg.pipelined[idx(FuClass::FpDiv)] = false;
     return cfg;
+}
+
+/** Fatal, naming @p name's field, on a geometry DataCache cannot
+ *  build: its constructor's checks, in 64 bits (32 x 2^27 ways wraps
+ *  a 32-bit way size to 0). */
+void
+validateCache(const CacheConfig &cache, const char *name)
+{
+    if (!isPowerOf2(cache.sizeBytes))
+        fatal("%s.sizeBytes %u must be a power of two", name,
+              cache.sizeBytes);
+    if (!isPowerOf2(cache.lineBytes))
+        fatal("%s.lineBytes %u must be a power of two", name,
+              cache.lineBytes);
+    const std::uint64_t way_bytes =
+        std::uint64_t{cache.lineBytes} * cache.ways;
+    if (!way_bytes || cache.sizeBytes % way_bytes != 0 ||
+        !isPowerOf2(cache.sizeBytes / way_bytes))
+        fatal("%s.ways %u does not split %u bytes into a power-of-two "
+              "number of sets of %u-byte lines",
+              name, cache.ways, cache.sizeBytes, cache.lineBytes);
+    const std::uint64_t sets = cache.sizeBytes / way_bytes;
+    if (cache.ports < 1)
+        fatal("%s.ports must be at least 1", name);
+    if (cache.partitions < 1 || cache.partitions > sets)
+        fatal("%s.partitions %u out of range [1,%llu] (one set each)",
+              name, cache.partitions,
+              static_cast<unsigned long long>(sets));
 }
 
 } // namespace
@@ -155,6 +184,9 @@ MachineConfig::validate() const
             fatal("functional unit class %s has zero latency",
                   fuClassName(static_cast<FuClass>(i)));
     }
+    validateCache(dcache, "dcache");
+    if (!perfectICache)
+        validateCache(icache, "icache");
 }
 
 std::string

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
-#include <limits>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 
 namespace sdsp
 {
@@ -61,25 +61,45 @@ confidenceName(Confidence confidence)
 // WhatIf
 // --------------------------------------------------------------------
 
+AppliedWhatIf
+WhatIf::appliedTo(const MachineConfig &base) const
+{
+    AppliedWhatIf applied;
+    applied.issueWidth = issueWidth.value_or(base.issueWidth);
+    applied.suEntries =
+        suEntries ? std::max(1u, *suEntries / base.blockSize) *
+                        base.blockSize
+                  : base.suEntries;
+    applied.suBlocks = applied.suEntries / base.blockSize;
+    applied.bypassing = bypassing.value_or(base.bypassing);
+    for (unsigned c = 0; c < kNumFuClasses; ++c)
+        applied.fuLatency[c] = fuLatency[c].value_or(base.fu.latency[c]);
+    applied.storeBufferEntries =
+        infiniteStoreBuffer ? 4096 : base.storeBufferEntries;
+    applied.missPenalty = perfectDCache ? 0 : base.dcache.missPenalty;
+    applied.perfectDCache = perfectDCache;
+    applied.infiniteStoreBuffer = infiniteStoreBuffer;
+    return applied;
+}
+
+MachineConfig
+applyWhatIf(const WhatIf &what_if, const MachineConfig &base)
+{
+    const AppliedWhatIf applied = what_if.appliedTo(base);
+    MachineConfig config = base;
+    config.issueWidth = applied.issueWidth;
+    config.suEntries = applied.suEntries;
+    config.bypassing = applied.bypassing;
+    config.fu.latency = applied.fuLatency;
+    config.storeBufferEntries = applied.storeBufferEntries;
+    config.dcache.missPenalty = applied.missPenalty;
+    return config;
+}
+
 bool
 WhatIf::isBaseline(const MachineConfig &config) const
 {
-    if (issueWidth && issueWidth != config.issueWidth)
-        return false;
-    if (suEntries && suEntries != config.suEntries)
-        return false;
-    if (perfectDCache || infiniteStoreBuffer)
-        return false;
-    if (bypassing >= 0 && (bypassing != 0) != config.bypassing)
-        return false;
-    for (unsigned c = 0; c < kNumFuClasses; ++c) {
-        if (fuLatency[c] >= 0 &&
-            static_cast<unsigned>(fuLatency[c]) !=
-                config.fu.latency[c]) {
-            return false;
-        }
-    }
-    return true;
+    return appliedTo(config) == WhatIf{}.appliedTo(config);
 }
 
 std::string
@@ -92,20 +112,20 @@ WhatIf::describe(const MachineConfig &config) const
         out += clause;
     };
     if (issueWidth)
-        append(format("issueWidth=%u", issueWidth));
+        append(format("issueWidth=%u", *issueWidth));
     if (suEntries)
-        append(format("suEntries=%u", suEntries));
+        append(format("suEntries=%u", *suEntries));
     if (perfectDCache)
         append("perfectDCache=1");
     if (infiniteStoreBuffer)
         append("infiniteStoreBuffer=1");
-    if (bypassing >= 0)
-        append(format("bypassing=%d", bypassing ? 1 : 0));
+    if (bypassing)
+        append(format("bypassing=%d", *bypassing ? 1 : 0));
     for (unsigned c = 0; c < kNumFuClasses; ++c) {
-        if (fuLatency[c] >= 0) {
-            append(format("fuLat.%s=%d",
+        if (fuLatency[c]) {
+            append(format("fuLat.%s=%u",
                           fuClassName(static_cast<FuClass>(c)),
-                          fuLatency[c]));
+                          *fuLatency[c]));
         }
     }
     if (out.empty())
@@ -115,61 +135,43 @@ WhatIf::describe(const MachineConfig &config) const
 }
 
 bool
-WhatIf::applyKeyValue(const std::string &clause, std::string *error)
+WhatIf::set(const std::string &key, std::uint64_t value,
+            std::string *error)
 {
     auto fail = [&](const std::string &message) {
         if (error)
             *error = message;
         return false;
     };
-
-    std::size_t eq = clause.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= clause.size())
-        return fail(format("expected KEY=VAL, got '%s'",
-                           clause.c_str()));
-    std::string key = clause.substr(0, eq);
-    std::string val = clause.substr(eq + 1);
-
-    long number = 0;
-    auto parsed = std::from_chars(val.data(), val.data() + val.size(),
-                                  number);
-    if (parsed.ec != std::errc{} ||
-        parsed.ptr != val.data() + val.size()) {
-        return fail(format("'%s': value '%s' is not an integer",
-                           key.c_str(), val.c_str()));
-    }
-
     // Range checks come before the narrowing casts: a value that does
-    // not fit the field is an error, not a silently rewritten one.
-    constexpr long kMaxCount = std::numeric_limits<unsigned>::max();
-    constexpr long kMaxLatency = std::numeric_limits<int>::max();
-    if (key == "issueWidth") {
-        if (number < 1 || number > kMaxCount)
-            return fail(format("issueWidth must be between 1 and %ld",
-                               kMaxCount));
-        issueWidth = static_cast<unsigned>(number);
-    } else if (key == "suEntries") {
-        if (number < 1 || number > kMaxCount)
-            return fail(format("suEntries must be between 1 and %ld",
-                               kMaxCount));
-        suEntries = static_cast<unsigned>(number);
-    } else if (key == "perfectDCache") {
-        perfectDCache = number != 0;
+    // not fit the field is an error, not a silently rewritten one. A
+    // latency below one cycle is refused, as validate() refuses it.
+    constexpr std::uint64_t kMaxCount = kFieldMax<unsigned>;
+    constexpr std::uint64_t kMaxLatency = kFieldMax<int>;
+    auto count = [&](std::optional<unsigned> &field, const char *name,
+                     std::uint64_t max) {
+        if (value < 1 || value > max)
+            return fail(format("%s must be between 1 and %llu", name,
+                               static_cast<unsigned long long>(max)));
+        field = static_cast<unsigned>(value);
+        return true;
+    };
+
+    if (key == "issueWidth")
+        return count(issueWidth, "issueWidth", kMaxCount);
+    if (key == "suEntries")
+        return count(suEntries, "suEntries", kMaxCount);
+    if (key == "perfectDCache") {
+        perfectDCache = value != 0;
     } else if (key == "infiniteStoreBuffer") {
-        infiniteStoreBuffer = number != 0;
+        infiniteStoreBuffer = value != 0;
     } else if (key == "bypassing") {
-        bypassing = number != 0 ? 1 : 0;
-    } else if (key.rfind("fuLat.", 0) == 0) {
-        std::string cls = key.substr(6);
-        for (unsigned c = 0; c < kNumFuClasses; ++c) {
-            if (cls == fuClassName(static_cast<FuClass>(c))) {
-                if (number < 0 || number > kMaxLatency)
-                    return fail(format("fuLat must be between 0 and %ld",
-                                       kMaxLatency));
-                fuLatency[c] = static_cast<int>(number);
-                return true;
-            }
-        }
+        bypassing = value != 0;
+    } else if (key.starts_with("fuLat.")) {
+        const std::string cls = key.substr(6);
+        for (unsigned c = 0; c < kNumFuClasses; ++c)
+            if (cls == fuClassName(static_cast<FuClass>(c)))
+                return count(fuLatency[c], "fuLat", kMaxLatency);
         return fail(format("unknown FU class '%s'", cls.c_str()));
     } else {
         return fail(format(
@@ -182,27 +184,46 @@ WhatIf::applyKeyValue(const std::string &clause, std::string *error)
 }
 
 bool
+WhatIf::applyKeyValue(const std::string &clause, std::string *error)
+{
+    const std::size_t eq = clause.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= clause.size()) {
+        if (error)
+            *error = format("expected KEY=VAL, got '%s'", clause.c_str());
+        return false;
+    }
+    const std::string key = clause.substr(0, eq);
+    const std::string val = clause.substr(eq + 1);
+    const auto number = parseNumber(val, 0, kFieldMax<std::uint64_t>);
+    if (!number) {
+        if (error)
+            *error = format("'%s': value '%s' is not an unsigned integer",
+                            key.c_str(), val.c_str());
+        return false;
+    }
+    return set(key, *number, error);
+}
+
+bool
+WhatIf::applyKeyValues(const std::string &clauses, std::string *error)
+{
+    std::istringstream list(clauses);
+    std::string clause;
+    while (std::getline(list, clause, ','))
+        if (!applyKeyValue(clause, error))
+            return false;
+    return true;
+}
+
+bool
 WhatIf::isPureCapacityIncrease(const MachineConfig &config) const
 {
-    if (perfectDCache)
-        return false;
-    if (bypassing >= 0 && (bypassing != 0) != config.bypassing)
-        return false;
-    for (unsigned c = 0; c < kNumFuClasses; ++c) {
-        if (fuLatency[c] >= 0 &&
-            static_cast<unsigned>(fuLatency[c]) !=
-                config.fu.latency[c]) {
-            return false;
-        }
-    }
-    if (issueWidth && issueWidth < config.issueWidth)
-        return false;
-    if (suEntries &&
-        std::max(1u, suEntries / config.blockSize) <
-            config.suBlocks()) {
-        return false;
-    }
-    return true;
+    const AppliedWhatIf applied = appliedTo(config);
+    return !applied.perfectDCache &&
+           applied.bypassing == config.bypassing &&
+           applied.fuLatency == config.fu.latency &&
+           applied.issueWidth >= config.issueWidth &&
+           applied.suBlocks >= config.suBlocks();
 }
 
 // --------------------------------------------------------------------
@@ -874,21 +895,13 @@ DdgGraph::edge(std::size_t e) const
 DdgGraph::Resolved
 DdgGraph::resolve(const WhatIf &what_if) const
 {
+    const AppliedWhatIf applied = what_if.appliedTo(cfg_);
     Resolved r;
-    const unsigned baseBlocks = cfg_.suBlocks();
-    const unsigned blocksCap =
-        what_if.suEntries
-            ? std::max(1u, what_if.suEntries / cfg_.blockSize)
-            : baseBlocks;
-    const unsigned width =
-        what_if.issueWidth ? what_if.issueWidth : cfg_.issueWidth;
-    r.capacity[kSuCapacity] = {blocksCap, commitOrder_.data(), 0,
+    r.capacity[kSuCapacity] = {applied.suBlocks, commitOrder_.data(), 0,
                                EdgeClass::SuCapacity};
-    r.capacity[kIssueCapacity] = {width, issueOrder_.data(), 1,
-                                  EdgeClass::IssueBandwidth};
-    r.perfectDCache = what_if.perfectDCache;
-    const bool bypass = what_if.bypassing < 0 ? cfg_.bypassing
-                                              : what_if.bypassing != 0;
+    r.capacity[kIssueCapacity] = {applied.issueWidth, issueOrder_.data(),
+                                  1, EdgeClass::IssueBandwidth};
+    r.perfectDCache = applied.perfectDCache;
 
     auto at = [&](EdgeClass cls, unsigned fu_cls) -> std::int64_t & {
         return r.addend[static_cast<unsigned>(cls) * kNumFuClasses +
@@ -898,11 +911,9 @@ DdgGraph::resolve(const WhatIf &what_if) const
         for (unsigned c = 0; c < kNumFuClasses; ++c)
             at(cls, c) = value;
     };
-    fill(EdgeClass::Raw, bypass ? 0 : 1);
+    fill(EdgeClass::Raw, applied.bypassing ? 0 : 1);
     for (unsigned c = 0; c < kNumFuClasses; ++c) {
-        const std::int64_t lat =
-            what_if.fuLatency[c] >= 0 ? what_if.fuLatency[c]
-                                      : cfg_.fu.latency[c];
+        const std::int64_t lat = applied.fuLatency[c];
         at(EdgeClass::Execute, c) = lat;
         at(EdgeClass::CacheMiss, c) = lat;
         at(EdgeClass::Writeback, c) = lat;
@@ -910,13 +921,13 @@ DdgGraph::resolve(const WhatIf &what_if) const
     // Residual waits the what-if removes (a deeper SU, wider issue,
     // infinite store buffer, perfect D-cache): the recorded wait no
     // longer applies on that machine.
-    if (blocksCap > baseBlocks)
+    if (applied.suBlocks > cfg_.suBlocks())
         fill(EdgeClass::SuCapacity, kDropped);
-    if (width > cfg_.issueWidth)
+    if (applied.issueWidth > cfg_.issueWidth)
         fill(EdgeClass::IssueBandwidth, kDropped);
-    if (what_if.infiniteStoreBuffer)
+    if (applied.infiniteStoreBuffer)
         fill(EdgeClass::StoreBufferFull, kDropped);
-    if (what_if.perfectDCache)
+    if (applied.perfectDCache)
         fill(EdgeClass::CachePort, kDropped);
     return r;
 }
@@ -1057,21 +1068,11 @@ classifyWhatIf(const WhatIf &what_if, const MachineConfig &config)
 {
     if (what_if.isBaseline(config))
         return Confidence::Exact;
-    const unsigned blocksCap =
-        what_if.suEntries
-            ? std::max(1u, what_if.suEntries / config.blockSize)
-            : config.suBlocks();
-    const unsigned width =
-        what_if.issueWidth ? what_if.issueWidth : config.issueWidth;
-    if (blocksCap < config.suBlocks() || width < config.issueWidth)
+    const AppliedWhatIf applied = what_if.appliedTo(config);
+    if (applied.suBlocks < config.suBlocks() ||
+        applied.issueWidth < config.issueWidth)
         return Confidence::PessimisticBound;
     return Confidence::OptimisticBound;
-}
-
-Confidence
-DdgGraph::classify(const WhatIf &what_if) const
-{
-    return classifyWhatIf(what_if, cfg_);
 }
 
 RelaxResult
@@ -1083,7 +1084,7 @@ DdgGraph::relax(const WhatIf &what_if) const
     RelaxResult result;
     result.skippedCapacityEdges = relaxTimes(r, time.get());
     result.cycles = static_cast<Cycle>(time[nodes_.size() - 1]);
-    result.confidence = classify(what_if);
+    result.confidence = classifyWhatIf(what_if, cfg_);
     walkCriticalPath(r, time.get(), result);
     return result;
 }

@@ -58,6 +58,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,40 +162,86 @@ class DdgRecorder final : public TraceSink
 // --------------------------------------------------------------------
 
 /**
- * Machine changes to project. Zero / negative fields mean "keep the
- * baseline value". Capacity increases (wider issue, deeper SU,
- * larger store buffer, perfect cache, faster FUs) yield sound
- * projections: the projected cycle count never exceeds the measured
- * one and models every recorded constraint that remains. Capacity
- * DECREASES re-use the baseline event order, drop every dynamic
- * constraint whose rewired source is not topologically earlier, and
- * can come out far below reality — every RelaxResult carries a
- * Confidence tag making the distinction explicit. See DESIGN.md §10.
+ * The machine quantities a WhatIf sets, resolved against a base
+ * machine: each is the what-if's value where it sets one and the base
+ * machine's where it does not. WhatIf::appliedTo() is the one reader
+ * of a what-if's fields against a machine; the projection, the trust
+ * class, the cost model and the machine a re-simulation runs
+ * (applyWhatIf) all read its result.
+ */
+struct AppliedWhatIf
+{
+    unsigned issueWidth = 0;
+    /** Whole blocks, at least one: the SU holds blocks. */
+    unsigned suEntries = 0;
+    unsigned suBlocks = 0;
+    bool bypassing = false;
+    std::array<unsigned, kNumFuClasses> fuLatency{};
+    /** 4096 for an infinite store buffer. */
+    unsigned storeBufferEntries = 0;
+    /** 0 for a perfect D-cache: free refills, ports still contend. */
+    std::uint32_t missPenalty = 0;
+    /** The idealizations stay flags too: the projection drops their
+     *  residual edges and the cost model prices them flat. */
+    bool perfectDCache = false;
+    bool infiniteStoreBuffer = false;
+
+    bool operator==(const AppliedWhatIf &) const = default;
+};
+
+/**
+ * Machine changes to project. An unset field keeps the base machine's
+ * value. Capacity increases (wider issue, deeper SU, larger store
+ * buffer, perfect cache, faster FUs) yield sound projections: the
+ * projected cycle count never exceeds the measured one and models
+ * every recorded constraint that remains. Capacity DECREASES re-use
+ * the baseline event order, drop every dynamic constraint whose
+ * rewired source is not topologically earlier, and can come out far
+ * below reality — every RelaxResult carries a Confidence tag making
+ * the distinction explicit. See DESIGN.md §10.
  */
 struct WhatIf
 {
-    unsigned issueWidth = 0;  //!< 0 = baseline
-    unsigned suEntries = 0;   //!< 0 = baseline (rounded to blocks)
+    std::optional<unsigned> issueWidth;
+    /** Rounded down to whole blocks (see AppliedWhatIf). */
+    std::optional<unsigned> suEntries;
     bool perfectDCache = false;
     bool infiniteStoreBuffer = false;
-    int bypassing = -1;       //!< -1 baseline, else 0/1
-    /** Per-FU-class latency override; -1 = baseline. */
-    std::array<int, kNumFuClasses> fuLatency{};
+    std::optional<bool> bypassing;
+    /** Per-FU-class latency override, at least one cycle. */
+    std::array<std::optional<unsigned>, kNumFuClasses> fuLatency{};
 
-    WhatIf() { fuLatency.fill(-1); }
+    /** This what-if's machine quantities on @p base. */
+    AppliedWhatIf appliedTo(const MachineConfig &base) const;
 
+    /** True when the what-if applies to the same machine as
+     *  @p config: its quantities are the config's own. */
     bool isBaseline(const MachineConfig &config) const;
 
     /** "issueWidth=16,perfectDCache=1" (stable key order). */
     std::string describe(const MachineConfig &config) const;
 
     /**
-     * Parse one "KEY=VAL" clause (CLI `--what-if`): issueWidth,
-     * suEntries, perfectDCache, infiniteStoreBuffer, bypassing, or
-     * fuLat.<class> (e.g. fuLat.load=1). @return false (with
-     * *error set) on an unknown key or bad value.
+     * Set @p key to @p value: issueWidth or suEntries (1 to the
+     * largest unsigned), perfectDCache, infiniteStoreBuffer or
+     * bypassing (0 is off, anything else on), or fuLat.<class> (1 to
+     * the largest int; e.g. fuLat.Load). @return false (with *error
+     * set) on an unknown key or a value out of range.
+     */
+    bool set(const std::string &key, std::uint64_t value,
+             std::string *error);
+
+    /**
+     * Apply one "KEY=VAL" clause (CLI `--what-if`): VAL is read as
+     * parseNumber reads every tool's numbers (decimal, 0x-hex or
+     * 0-octal, no sign), then set(). @return false (with *error set)
+     * on a malformed clause, unknown key or bad value.
      */
     bool applyKeyValue(const std::string &clause, std::string *error);
+
+    /** applyKeyValue() on each clause of "KEY=VAL[,KEY=VAL...]",
+     *  stopping at the first that fails. */
+    bool applyKeyValues(const std::string &clauses, std::string *error);
 
     /**
      * True when every change only REMOVES constraints that the
@@ -208,6 +255,11 @@ struct WhatIf
      */
     bool isPureCapacityIncrease(const MachineConfig &config) const;
 };
+
+/** The MachineConfig @p what_if describes for a REAL re-simulation:
+ *  @p base with the quantities of what_if.appliedTo(base). */
+MachineConfig applyWhatIf(const WhatIf &what_if,
+                          const MachineConfig &base);
 
 /**
  * Trust class of a projection. Ordered from strongest to weakest so
@@ -362,10 +414,6 @@ class DdgGraph
     /** Project the run under @p what_if (pass a default WhatIf for
      *  the baseline, which reproduces the measured cycles). */
     RelaxResult relax(const WhatIf &what_if) const;
-
-    /** Trust class @p what_if would get against this recording's
-     *  baseline config (same rule relax() applies). */
-    Confidence classify(const WhatIf &what_if) const;
 
     /**
      * Baseline self-check: relax with baseline parameters and

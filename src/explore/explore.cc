@@ -90,35 +90,6 @@ projectLattice(std::vector<LatticePoint> &points,
     });
 }
 
-MachineConfig
-applyWhatIf(const WhatIf &what_if, const MachineConfig &base)
-{
-    MachineConfig config = base;
-    if (what_if.issueWidth)
-        config.issueWidth = what_if.issueWidth;
-    if (what_if.suEntries) {
-        // Mirror the projection's whole-blocks rounding so the real
-        // machine holds exactly the capacity that was projected.
-        config.suEntries =
-            std::max(base.blockSize, what_if.suEntries /
-                                         base.blockSize *
-                                         base.blockSize);
-    }
-    if (what_if.bypassing >= 0)
-        config.bypassing = what_if.bypassing != 0;
-    for (unsigned c = 0; c < kNumFuClasses; ++c) {
-        if (what_if.fuLatency[c] >= 0) {
-            config.fu.latency[c] = std::max(
-                1u, static_cast<unsigned>(what_if.fuLatency[c]));
-        }
-    }
-    if (what_if.infiniteStoreBuffer)
-        config.storeBufferEntries = 4096;
-    if (what_if.perfectDCache)
-        config.dcache.missPenalty = 0;
-    return config;
-}
-
 std::vector<FrontierValidation>
 validateFrontier(const std::vector<LatticePoint> &points,
                  const std::vector<std::size_t> &frontier,

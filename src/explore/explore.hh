@@ -75,13 +75,6 @@ void projectLattice(std::vector<LatticePoint> &points,
                     const std::vector<ExploreRecording> &recordings,
                     unsigned jobs);
 
-/** The MachineConfig @p what_if describes for a REAL re-simulation:
- *  direct fields map directly; infiniteStoreBuffer becomes a 4096-
- *  entry buffer; perfectDCache zeroes the miss penalty (refills are
- *  free; port contention deliberately remains). */
-MachineConfig applyWhatIf(const WhatIf &what_if,
-                          const MachineConfig &base);
-
 /** One frontier point validated against real re-simulations. */
 struct FrontierValidation
 {

@@ -61,33 +61,23 @@ LatticeAxes::reduced()
 double
 latticeCost(const WhatIf &what_if, const MachineConfig &base)
 {
-    const unsigned width =
-        what_if.issueWidth ? what_if.issueWidth : base.issueWidth;
-    const unsigned su =
-        what_if.suEntries ? what_if.suEntries : base.suEntries;
-    const bool bypass = what_if.bypassing < 0
-                            ? base.bypassing
-                            : what_if.bypassing != 0;
-
+    const AppliedWhatIf applied = what_if.appliedTo(base);
     double cost = 0.0;
-    cost += 4.0 * width;
-    cost += 1.0 * su;
-    if (bypass)
-        cost += 1.0 * width;
-    cost += what_if.infiniteStoreBuffer
+    cost += 4.0 * applied.issueWidth;
+    cost += 1.0 * applied.suEntries;
+    if (applied.bypassing)
+        cost += 1.0 * applied.issueWidth;
+    cost += applied.infiniteStoreBuffer
                 ? 32.0
-                : 0.5 * base.storeBufferEntries;
-    cost += what_if.perfectDCache
+                : 0.5 * applied.storeBufferEntries;
+    cost += applied.perfectDCache
                 ? 64.0
                 : 2.0 * (static_cast<double>(base.dcache.sizeBytes) /
                          1024.0);
     for (unsigned c = 0; c < kNumFuClasses; ++c) {
-        const double base_lat = std::max(1u, base.fu.latency[c]);
-        const double lat =
-            what_if.fuLatency[c] >= 0
-                ? std::max(1, what_if.fuLatency[c])
-                : base_lat;
-        cost += 2.0 * base.fu.count[c] * (base_lat / lat);
+        cost += 2.0 * base.fu.count[c] *
+                (static_cast<double>(base.fu.latency[c]) /
+                 applied.fuLatency[c]);
     }
     return cost;
 }
@@ -107,12 +97,11 @@ buildLattice(const LatticeAxes &axes, const MachineConfig &base)
         LatticePoint point;
         for (std::size_t a = 0; a < axes.axes.size(); ++a) {
             const LatticeAxis &axis = axes.axes[a];
+            const std::uint64_t value = axis.values[digit[a]];
             std::string error;
-            std::string clause =
-                format("%s=%ld", axis.key.c_str(),
-                       axis.values[digit[a]]);
-            if (!point.whatIf.applyKeyValue(clause, &error))
-                fatal("bad lattice axis %s: %s", clause.c_str(),
+            if (!point.whatIf.set(axis.key, value, &error))
+                fatal("bad lattice axis %s=%llu: %s", axis.key.c_str(),
+                      static_cast<unsigned long long>(value),
                       error.c_str());
         }
         point.name = point.whatIf.describe(base);

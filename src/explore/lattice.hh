@@ -16,6 +16,7 @@
 #define SDSP_EXPLORE_LATTICE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,8 +29,8 @@ namespace sdsp
 /** One lattice axis: a WhatIf key and the values it sweeps. */
 struct LatticeAxis
 {
-    std::string key;          //!< a WhatIf::applyKeyValue key
-    std::vector<long> values; //!< swept values, baseline included
+    std::string key;                   //!< a WhatIf::set key
+    std::vector<std::uint64_t> values; //!< swept, baseline included
 };
 
 /** The axes of the cartesian what-if lattice. */
@@ -90,16 +91,17 @@ struct LatticePoint
  * + D-cache: 2 per KB, or a flat 64 for the perfect one
  * + per FU class: 2 x count x (baseline latency / latency) — a unit
  *   twice as fast costs twice as much, a slower one is cheaper
- *   (latencies clamped at >= 1 cycle for the ratio)
  *
- * Deterministic: pure double arithmetic over the config, no state.
+ * Every term reads what_if.appliedTo(base). Deterministic: pure
+ * double arithmetic over the config, no state.
  */
 double latticeCost(const WhatIf &what_if, const MachineConfig &base);
 
 /**
  * Enumerate the cartesian product of @p axes into named, costed,
- * confidence-classified points (projections not yet filled). Fatals
- * on an axis key/value WhatIf::applyKeyValue rejects. Point order is
+ * confidence-classified points (projections not yet filled), each
+ * axis applied as a (key, value) pair. Fatals on an axis key/value
+ * WhatIf::set rejects. Point order is
  * the odometer order of the axes — deterministic for a given axes
  * value, independent of thread count.
  */

@@ -271,7 +271,7 @@ runDifferential(const Program &program, const MachineConfig &config,
     increase.suEntries = 2 * run_config.suEntries;
     increase.infiniteStoreBuffer = true;
     WhatIf reweight;
-    reweight.bypassing = run_config.bypassing ? 0 : 1;
+    reweight.bypassing = !run_config.bypassing;
     reweight.perfectDCache = true;
     reweight.fuLatency[static_cast<unsigned>(FuClass::Load)] = 1;
     WhatIf decrease;

@@ -50,6 +50,8 @@ struct CacheConfig
      * (mirroring the register-file partitioning).
      */
     std::uint32_t partitions = 1;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Outcome of one cache access. */

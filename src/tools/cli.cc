@@ -304,21 +304,7 @@ runReplayStream(const CliOptions &options, std::ostream &out)
 std::string
 cliUsage()
 {
-    return "usage: sdsp-run [options] program.s\n"
-           "  -t N                 resident threads (default 4)\n"
-           "  -f POLICY            truerr|maskedrr|cswitch|adaptive|"
-           "weightedrr\n"
-           "  -w W0,W1,...         fetch weights for weightedrr\n"
-           "  -s N                 scheduling unit entries\n"
-           "  --commit MODE        flexible|lowest\n"
-           "  --rename MODE        full|scoreboard\n"
-           "  --no-bypass          disable result bypassing\n"
-           "  --cache-ways N       dcache associativity (1=direct)\n"
-           "  --cache-size BYTES   dcache capacity\n"
-           "  --cache-partitions N per-thread cache partitions\n"
-           "  --btb-banks N        private per-thread BTBs\n"
-           "  --finite-icache      model a finite I-cache\n"
-           "  --max-cycles N       simulation cap\n"
+    return "usage: sdsp-run [options] program.s\n" + machineFlagUsage() +
            "  --timeout SECS       wall-clock budget (exit code 3)\n"
            "  --align              section-6.1 code layout pass\n"
            "  --trace              per-cycle event trace\n"
@@ -358,89 +344,18 @@ parseCliOptions(const std::vector<std::string> &args)
             return args[++i];
         };
 
-        if (arg == "-t" || arg == "-f" || arg == "-s" || arg == "-w" ||
-            arg == "--commit" || arg == "--rename" ||
-            arg == "--cache-ways" || arg == "--cache-size" ||
-            arg == "--cache-partitions" || arg == "--btb-banks" ||
-            arg == "--max-cycles" || arg == "--timeout" ||
-            arg == "--trace-file" || arg == "--trace-json" ||
-            arg == "--record" || arg == "--replay" ||
-            arg == "--replay-stream" || arg == "--summary-json") {
+        if (auto error = parseMachineFlag(args, i, options.config)) {
+            if (!error->empty())
+                return fail(*error);
+        } else if (arg == "--timeout" || arg == "--trace-file" ||
+                   arg == "--trace-json" || arg == "--record" ||
+                   arg == "--replay" || arg == "--replay-stream" ||
+                   arg == "--summary-json") {
             auto value = next_value();
             if (!value)
                 return fail(arg + " needs a value");
 
-            if (arg == "-t") {
-                auto n = parseNumber(*value, 1, 16);
-                if (!n)
-                    return fail("bad thread count: " + *value);
-                options.config.numThreads =
-                    static_cast<unsigned>(*n);
-            } else if (arg == "-f") {
-                auto policy = parsePolicy(*value);
-                if (!policy)
-                    return fail("unknown fetch policy: " + *value);
-                options.config.fetchPolicy = *policy;
-            } else if (arg == "-w") {
-                std::istringstream list(*value);
-                std::string item;
-                options.config.fetchWeights.clear();
-                while (std::getline(list, item, ',')) {
-                    auto weight = parseNumber(item, 1, kFieldMax<unsigned>);
-                    if (!weight)
-                        return fail("bad fetch weight: " + item);
-                    options.config.fetchWeights.push_back(
-                        static_cast<unsigned>(*weight));
-                }
-            } else if (arg == "-s") {
-                auto n = parseNumber(*value, 0, kFieldMax<unsigned>);
-                if (!n)
-                    return fail("bad SU size: " + *value);
-                options.config.suEntries = static_cast<unsigned>(*n);
-            } else if (arg == "--commit") {
-                if (*value == "flexible") {
-                    options.config.commitPolicy =
-                        CommitPolicy::FlexibleFourBlocks;
-                } else if (*value == "lowest") {
-                    options.config.commitPolicy =
-                        CommitPolicy::LowestBlockOnly;
-                } else {
-                    return fail("unknown commit mode: " + *value);
-                }
-            } else if (arg == "--rename") {
-                if (*value == "full") {
-                    options.config.renameScheme =
-                        RenameScheme::FullRenaming;
-                } else if (*value == "scoreboard") {
-                    options.config.renameScheme =
-                        RenameScheme::Scoreboard1Bit;
-                } else {
-                    return fail("unknown rename mode: " + *value);
-                }
-            } else if (arg == "--cache-ways") {
-                auto n = parseNumber(*value, 1, kFieldMax<std::uint32_t>);
-                if (!n)
-                    return fail("bad way count: " + *value);
-                options.config.dcache.ways =
-                    static_cast<std::uint32_t>(*n);
-            } else if (arg == "--cache-size") {
-                auto n = parseNumber(*value, 0, kFieldMax<std::uint32_t>);
-                if (!n)
-                    return fail("bad cache size: " + *value);
-                options.config.dcache.sizeBytes =
-                    static_cast<std::uint32_t>(*n);
-            } else if (arg == "--cache-partitions") {
-                auto n = parseNumber(*value, 1, kFieldMax<std::uint32_t>);
-                if (!n)
-                    return fail("bad partition count: " + *value);
-                options.config.dcache.partitions =
-                    static_cast<std::uint32_t>(*n);
-            } else if (arg == "--btb-banks") {
-                auto n = parseNumber(*value, 1, kFieldMax<unsigned>);
-                if (!n)
-                    return fail("bad bank count: " + *value);
-                options.config.btbBanks = static_cast<unsigned>(*n);
-            } else if (arg == "--timeout") {
+            if (arg == "--timeout") {
                 auto seconds = parseSeconds(*value);
                 if (!seconds)
                     return fail("bad timeout: " + *value);
@@ -455,18 +370,9 @@ parseCliOptions(const std::vector<std::string> &args)
                 options.replayPath = *value;
             } else if (arg == "--replay-stream") {
                 options.replayStream = *value;
-            } else if (arg == "--summary-json") {
+            } else { // --summary-json
                 options.summaryJson = *value;
-            } else { // --max-cycles
-                auto n = parseNumber(*value, 1, kFieldMax<std::uint64_t>);
-                if (!n)
-                    return fail("bad cycle cap: " + *value);
-                options.config.maxCycles = *n;
             }
-        } else if (arg == "--no-bypass") {
-            options.config.bypassing = false;
-        } else if (arg == "--finite-icache") {
-            options.config.perfectICache = false;
         } else if (arg == "--align") {
             options.align = true;
         } else if (arg == "--trace") {

@@ -7,44 +7,9 @@
  *
  *     sdsp-run [options] program.s
  *
- * Options (see parseCliOptions for the full list):
- *     -t N                 resident threads (default 4)
- *     -f POLICY            truerr | maskedrr | cswitch | adaptive
- *                          | weightedrr
- *     -w W0,W1,...         fetch weights for weightedrr
- *     -s N                 scheduling unit entries (default 32)
- *     --commit MODE        flexible | lowest
- *     --rename MODE        full | scoreboard
- *     --no-bypass          disable result bypassing
- *     --cache-ways N       data cache associativity (1 = direct)
- *     --cache-size BYTES   data cache capacity
- *     --cache-partitions N per-thread cache partitions
- *     --btb-banks N        private per-thread BTBs
- *     --finite-icache      model a finite instruction cache
- *     --max-cycles N       simulation cap
- *     --timeout SECS       wall-clock budget (exit code 3 when hit)
- *     --align              apply the section-6.1 layout optimization
- *     --trace              per-cycle pipeline event trace
- *     --trace-file PATH    write the text trace to PATH
- *     --trace-json PATH    write a Chrome-trace-event (Perfetto)
- *                          trace to PATH
- *     --stats              dump all statistics after the run
- *                          (scalars, latency histograms, and the
- *                          per-thread stall attribution with
- *                          percent-of-total columns)
- *     --critpath           build the dynamic dependence graph and
- *                          print the critical-path breakdown
- *                          (verified exact against the cycle count)
- *     --disasm             print the disassembly and exit
- *     --record PATH        record the committed-instruction stream
- *                          as a replayable trace file
- *     --replay PATH        exact-replay a recorded trace instead of
- *                          running a program, verifying the committed
- *                          stream against the recording
- *     --replay-stream LIST stream-replay a "trace cocktail": a comma
- *                          list of TRACE[:tid] items, one hardware
- *                          thread per item
- *     --summary-json PATH  write a machine-readable run summary
+ * cliUsage() lists the options. The machine flags (-t, -f, -s, the
+ * cache flags, ...) come from the table behind parseMachineFlag()
+ * (cli_util.hh), which sdsp-critpath reads too.
  *
  * Parsing and execution live behind a testable interface; main() is
  * a thin wrapper.

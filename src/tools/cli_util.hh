@@ -2,40 +2,40 @@
  * @file
  * Value parsers and helpers shared by the command-line tools
  * (sdsp-run, sdsp-lint, sdsp-critpath, sdsp-explore, sdsp-fuzz), so
- * every tool accepts and rejects a value the same way.
+ * every tool accepts and rejects a value the same way: the integer
+ * reader (common/number.hh) and the one table of machine flags that
+ * sdsp-run and sdsp-critpath both read.
  */
 
 #ifndef SDSP_TOOLS_CLI_UTIL_HH
 #define SDSP_TOOLS_CLI_UTIL_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "common/number.hh"
 #include "core/config.hh"
 #include "workloads/workload.hh"
 
 namespace sdsp
 {
 
-/** The largest value an integer field of type @p Field holds. */
-template <typename Field>
-constexpr std::uint64_t kFieldMax = std::numeric_limits<Field>::max();
-
 /**
- * Parse @p text as a whole unsigned integer (decimal, or 0x-hex and
- * 0-octal as strtoull with base 0) in [@p min_value, @p max_value].
- * nullopt for an empty string, a sign or leading blank, trailing
- * characters, overflow, or a value out of range, so a value too wide
- * for its field is an error instead of silently wrapping.
+ * Apply @p args[@p i] to @p config when it is one of the machine flags
+ * machineFlagUsage() lists, consuming the value that follows a flag
+ * which takes one (@p i then indexes it). @return nullopt when
+ * @p args[@p i] is not a machine flag; otherwise the empty string on
+ * success or the error text.
  */
-std::optional<std::uint64_t> parseNumber(const std::string &text,
-                                         std::uint64_t min_value,
-                                         std::uint64_t max_value);
+std::optional<std::string>
+parseMachineFlag(const std::vector<std::string> &args, std::size_t &i,
+                 MachineConfig &config);
 
-/** truerr | maskedrr | cswitch | adaptive | weightedrr. */
-std::optional<FetchPolicy> parsePolicy(const std::string &name);
+/** The usage lines of the machine flags, one block in table order. */
+std::string machineFlagUsage();
 
 /** A built-in benchmark or extension by name; nullptr if unknown. */
 const Workload *findWorkload(const std::string &name);

@@ -60,15 +60,8 @@ critpathCliUsage()
            "  --workload NAME      run a built-in benchmark\n"
            "  --list               list built-in benchmarks\n"
            "  --scale N            workload problem scale percent\n"
-           "  --trace FILE         exact-replay a recorded trace\n"
-           "  -t N                 resident threads (default 4)\n"
-           "  -f POLICY            truerr|maskedrr|cswitch|adaptive|"
-           "weightedrr\n"
-           "  -s N                 scheduling unit entries\n"
-           "  --commit MODE        flexible|lowest\n"
-           "  --rename MODE        full|scoreboard\n"
-           "  --no-bypass          disable result bypassing\n"
-           "  --max-cycles N       simulation cap\n"
+           "  --trace FILE         exact-replay a recorded trace\n" +
+           machineFlagUsage() +
            "  --what-if LIST       project KEY=VAL[,KEY=VAL...]; may\n"
            "                       repeat (one projection each). Keys:\n"
            "                       issueWidth, suEntries,\n"
@@ -97,11 +90,12 @@ parseCritpathCliOptions(const std::vector<std::string> &args)
             return args[++i];
         };
 
-        if (arg == "--workload" || arg == "--scale" ||
-            arg == "--trace" || arg == "-t" || arg == "-f" ||
-            arg == "-s" || arg == "--commit" || arg == "--rename" ||
-            arg == "--max-cycles" || arg == "--what-if" ||
-            arg == "--json") {
+        if (auto error = parseMachineFlag(args, i, options.config)) {
+            if (!error->empty())
+                return fail(*error);
+        } else if (arg == "--workload" || arg == "--scale" ||
+                   arg == "--trace" || arg == "--what-if" ||
+                   arg == "--json") {
             auto value = next_value();
             if (!value)
                 return fail(arg + " needs a value");
@@ -115,62 +109,15 @@ parseCritpathCliOptions(const std::vector<std::string> &args)
                 options.scale = static_cast<unsigned>(*n);
             } else if (arg == "--trace") {
                 options.tracePath = *value;
-            } else if (arg == "-t") {
-                auto n = parseNumber(*value, 1, 16);
-                if (!n)
-                    return fail("bad thread count: " + *value);
-                options.config.numThreads =
-                    static_cast<unsigned>(*n);
-            } else if (arg == "-f") {
-                auto policy = parsePolicy(*value);
-                if (!policy)
-                    return fail("unknown fetch policy: " + *value);
-                options.config.fetchPolicy = *policy;
-            } else if (arg == "-s") {
-                auto n = parseNumber(*value, 0, kFieldMax<unsigned>);
-                if (!n)
-                    return fail("bad SU size: " + *value);
-                options.config.suEntries = static_cast<unsigned>(*n);
-            } else if (arg == "--commit") {
-                if (*value == "flexible") {
-                    options.config.commitPolicy =
-                        CommitPolicy::FlexibleFourBlocks;
-                } else if (*value == "lowest") {
-                    options.config.commitPolicy =
-                        CommitPolicy::LowestBlockOnly;
-                } else {
-                    return fail("unknown commit mode: " + *value);
-                }
-            } else if (arg == "--rename") {
-                if (*value == "full") {
-                    options.config.renameScheme =
-                        RenameScheme::FullRenaming;
-                } else if (*value == "scoreboard") {
-                    options.config.renameScheme =
-                        RenameScheme::Scoreboard1Bit;
-                } else {
-                    return fail("unknown rename mode: " + *value);
-                }
             } else if (arg == "--what-if") {
                 WhatIf what_if;
-                std::istringstream clauses(*value);
-                std::string clause, error;
-                while (std::getline(clauses, clause, ',')) {
-                    if (!what_if.applyKeyValue(clause, &error))
-                        return fail("--what-if " + *value + ": " +
-                                    error);
-                }
+                std::string error;
+                if (!what_if.applyKeyValues(*value, &error))
+                    return fail("--what-if " + *value + ": " + error);
                 options.whatIfs.push_back(what_if);
-            } else if (arg == "--json") {
+            } else { // --json
                 options.jsonPath = *value;
-            } else { // --max-cycles
-                auto n = parseNumber(*value, 1, kFieldMax<std::uint64_t>);
-                if (!n)
-                    return fail("bad cycle cap: " + *value);
-                options.config.maxCycles = *n;
             }
-        } else if (arg == "--no-bypass") {
-            options.config.bypassing = false;
         } else if (arg == "--slack") {
             options.slack = true;
         } else if (arg == "--list") {

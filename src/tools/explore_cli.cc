@@ -1,9 +1,7 @@
 #include "tools/explore_cli.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <ostream>
@@ -32,8 +30,8 @@ splitCommas(const std::string &list)
     return items;
 }
 
-/** Parse one --axis spec "KEY=V1,V2,..." and validate every value
- *  against WhatIf::applyKeyValue. */
+/** Parse one --axis spec "KEY=V1,V2,...", each value read by
+ *  parseNumber and checked by WhatIf::set. */
 bool
 parseAxisSpec(const std::string &spec, LatticeAxis *axis,
               std::string *error)
@@ -46,22 +44,15 @@ parseAxisSpec(const std::string &spec, LatticeAxis *axis,
     axis->key = spec.substr(0, eq);
     axis->values.clear();
     for (const std::string &item : splitCommas(spec.substr(eq + 1))) {
-        char *end = nullptr;
-        errno = 0;
-        long value = std::strtol(item.c_str(), &end, 10);
-        if (end != item.c_str() + item.size()) {
-            *error = "axis value '" + item + "' is not an integer";
-            return false;
-        }
-        if (errno == ERANGE) {
-            *error = "axis value '" + item + "' is out of range";
+        const auto value = parseNumber(item, 0, kFieldMax<std::uint64_t>);
+        if (!value) {
+            *error = "axis value '" + item + "' is not an unsigned integer";
             return false;
         }
         WhatIf probe;
-        if (!probe.applyKeyValue(
-                format("%s=%ld", axis->key.c_str(), value), error))
+        if (!probe.set(axis->key, *value, error))
             return false;
-        axis->values.push_back(value);
+        axis->values.push_back(*value);
     }
     if (axis->values.empty()) {
         *error = "axis '" + axis->key + "' has no values";
@@ -139,7 +130,11 @@ parseExploreCliOptions(const std::vector<std::string> &args)
                     return fail("bad job count: " + *value);
                 options.jobs = static_cast<unsigned>(*n);
             } else if (arg == "--axis") {
-                options.axisSpecs.push_back(*value);
+                LatticeAxis axis;
+                std::string error;
+                if (!parseAxisSpec(*value, &axis, &error))
+                    return fail("--axis " + *value + ": " + error);
+                options.axes.push_back(std::move(axis));
             } else { // --json
                 options.jsonPath = *value;
             }
@@ -161,13 +156,6 @@ parseExploreCliOptions(const std::vector<std::string> &args)
                            "projects thousands of points from at "
                            "most 12",
                            options.workloads.size()));
-    }
-    // Validate the axis specs at parse time (cheap failure first).
-    for (const std::string &spec : options.axisSpecs) {
-        LatticeAxis axis;
-        std::string error;
-        if (!parseAxisSpec(spec, &axis, &error))
-            return fail("--axis " + spec + ": " + error);
     }
     return options;
 }
@@ -239,16 +227,8 @@ runExploreCli(const ExploreCliOptions &options, std::ostream &out)
     // ---- Enumerate and project the lattice. ----
     LatticeAxes axes = options.reduced ? LatticeAxes::reduced()
                                        : LatticeAxes::full();
-    for (const std::string &spec : options.axisSpecs) {
-        LatticeAxis axis;
-        std::string error;
-        if (!parseAxisSpec(spec, &axis, &error)) {
-            out << "sdsp-explore: --axis " << spec << ": " << error
-                << "\n";
-            return 1;
-        }
-        axes.overrideAxis(std::move(axis));
-    }
+    for (const LatticeAxis &axis : options.axes)
+        axes.overrideAxis(axis);
 
     std::vector<LatticePoint> points = buildLattice(axes, base);
     auto project_start = std::chrono::steady_clock::now();

@@ -47,8 +47,9 @@ struct ExploreCliOptions
     unsigned jobs = 0;
     /** Use the reduced (24-point) lattice instead of the full one. */
     bool reduced = false;
-    /** Raw --axis overrides, "KEY=V1,V2,..." each. */
-    std::vector<std::string> axisSpecs;
+    /** The --axis overrides ("KEY=V1,V2,..." each), parsed and
+     *  checked, in command-line order. */
+    std::vector<LatticeAxis> axes;
     /** Skip frontier re-simulation (projection + frontier only). */
     bool noResim = false;
     /** Serialize every lattice point into the JSON artifact. */

@@ -286,44 +286,50 @@ TEST(AllocFree, RelaxAllocatesOnlyItsTimeArray)
 {
     // Every capacity kind and both D-cache modes: each relaxation
     // resolves its what-if on the stack and allocates the one array
-    // its times go in.
-    const MachineConfig cfg = machine(4);
-    DdgRecorder recorder;
-    const RunResult run =
-        runWorkload(workloadByName("LL5"), cfg, 10, &recorder);
-    ASSERT_TRUE(run.finished && run.verified);
-    const DdgGraph graph(recorder.trace(), cfg, run.cycles);
-    const std::size_t timeBytes =
-        graph.nodeCount() * sizeof(std::int64_t);
+    // its times go in — also against a recording whose config holds
+    // fetch weights, which a copy of the config would allocate.
+    MachineConfig weighted = machine(4);
+    weighted.fetchPolicy = FetchPolicy::WeightedRoundRobin;
+    weighted.fetchWeights = {2, 1, 1, 1};
+    for (const MachineConfig &cfg : {machine(4), weighted}) {
+        SCOPED_TRACE(fetchPolicyName(cfg.fetchPolicy));
+        DdgRecorder recorder;
+        const RunResult run =
+            runWorkload(workloadByName("LL5"), cfg, 10, &recorder);
+        ASSERT_TRUE(run.finished && run.verified);
+        const DdgGraph graph(recorder.trace(), cfg, run.cycles);
+        const std::size_t timeBytes =
+            graph.nodeCount() * sizeof(std::int64_t);
 
-    WhatIf baseline, perfect, smaller, wider;
-    perfect.perfectDCache = true;
-    perfect.fuLatency[static_cast<unsigned>(FuClass::Load)] = 1;
-    smaller.suEntries = 16;
-    smaller.issueWidth = 2;
-    wider.suEntries = 128;
-    wider.issueWidth = 16;
-    wider.infiniteStoreBuffer = true;
-    for (const WhatIf &what_if : {baseline, perfect, smaller, wider}) {
-        SCOPED_TRACE(what_if.describe(cfg));
+        WhatIf baseline, perfect, smaller, wider;
+        perfect.perfectDCache = true;
+        perfect.fuLatency[static_cast<unsigned>(FuClass::Load)] = 1;
+        smaller.suEntries = 16;
+        smaller.issueWidth = 2;
+        wider.suEntries = 128;
+        wider.issueWidth = 16;
+        wider.infiniteStoreBuffer = true;
+        for (const WhatIf &what_if : {baseline, perfect, smaller, wider}) {
+            SCOPED_TRACE(what_if.describe(cfg));
+            g_allocs = 0;
+            g_bytes = 0;
+            g_counting = true;
+            const RelaxResult result = graph.relax(what_if);
+            g_counting = false;
+            EXPECT_GT(result.cycles, 0u);
+            EXPECT_EQ(g_allocs, 1u);
+            EXPECT_EQ(g_bytes, timeBytes);
+        }
+
         g_allocs = 0;
         g_bytes = 0;
         g_counting = true;
-        const RelaxResult result = graph.relax(what_if);
+        const std::string mismatch = graph.verifyExact();
         g_counting = false;
-        EXPECT_GT(result.cycles, 0u);
+        EXPECT_EQ(mismatch, "");
         EXPECT_EQ(g_allocs, 1u);
         EXPECT_EQ(g_bytes, timeBytes);
     }
-
-    g_allocs = 0;
-    g_bytes = 0;
-    g_counting = true;
-    const std::string mismatch = graph.verifyExact();
-    g_counting = false;
-    EXPECT_EQ(mismatch, "");
-    EXPECT_EQ(g_allocs, 1u);
-    EXPECT_EQ(g_bytes, timeBytes);
 }
 
 } // namespace

@@ -95,6 +95,25 @@ TEST(MachineConfig, ValidationRejectsEachBadAxis)
             c.fetchWeights = {1, 2, 3, 0};
         },
         "fetchWeights");
+    // Cache shapes DataCache cannot build, as sdsp-run's cache flags
+    // give them: a named error, not its assert or a division by zero
+    // (32 x 2^27 ways wraps a 32-bit way size to 0).
+    expect_fatal([](MachineConfig &c) { c.dcache.sizeBytes = 3000; },
+                 "dcache.sizeBytes");
+    expect_fatal([](MachineConfig &c) { c.dcache.sizeBytes = 0; },
+                 "dcache.sizeBytes");
+    expect_fatal([](MachineConfig &c) { c.dcache.ways = 3; },
+                 "dcache.ways");
+    expect_fatal([](MachineConfig &c) { c.dcache.partitions = 1000; },
+                 "dcache.partitions");
+    expect_fatal([](MachineConfig &c) { c.dcache.ways = 134217728; },
+                 "dcache.ways");
+    expect_fatal(
+        [](MachineConfig &c) {
+            c.perfectICache = false;
+            c.icache.lineBytes = 24;
+        },
+        "icache.lineBytes");
 }
 
 TEST(MachineConfig, WeightsOnlyCheckedForWeightedPolicy)
