@@ -14,9 +14,11 @@
  *     sdsp-critpath program.s --what-if issueWidth=16
  *     sdsp-critpath --trace run.strace --json out.json
  *
- * Each --what-if takes a comma list of KEY=VAL clauses (issueWidth,
- * suEntries, perfectDCache, infiniteStoreBuffer, bypassing,
- * fuLat.<class>) and adds one projection; the flag may repeat.
+ * The machine flags are sdsp-run's, read from the same table
+ * (parseMachineFlag). Each --what-if takes a comma list of KEY=VAL
+ * clauses (issueWidth, suEntries, perfectDCache, infiniteStoreBuffer,
+ * bypassing, fuLat.<class>) and adds one projection; the flag may
+ * repeat.
  */
 
 #ifndef SDSP_TOOLS_CRITPATH_CLI_HH
