@@ -1,7 +1,6 @@
 #include "bench_util.hh"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "harness/artifacts.hh"
 
 namespace sdsp
@@ -217,18 +217,16 @@ printSpeedupTable(const std::vector<const Workload *> &workloads,
     exportCsv(table, "_speedup");
 }
 
-long
-parseIntOption(const char *name, const char *text, long min_value,
-               long max_value)
+std::uint64_t
+parseIntOption(const char *name, const char *text,
+               std::uint64_t min_value, std::uint64_t max_value)
 {
-    char *end = nullptr;
-    errno = 0;
-    long value = std::strtol(text, &end, 10);
-    if (end == text || *end || errno == ERANGE)
+    auto value = parseNumber(text, 0, kFieldMax<std::uint64_t>);
+    if (!value)
         fatal("bad %s value: %s", name, text);
-    if (value < min_value || value > max_value)
+    if (*value < min_value || *value > max_value)
         fatal("%s out of range: %s", name, text);
-    return value;
+    return *value;
 }
 
 } // namespace bench

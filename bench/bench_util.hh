@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared infrastructure of the two bench drivers: sdsp_bench_all,
- * which runs the paper's figures, tables and ablations (the registry
- * in experiments.hh; DESIGN.md section 3 maps them to the paper), and
- * sdsp_bench_critpath, which runs the paper grid as recorded sweep
- * jobs (DESIGN.md section 10). The explore gate is sdsp-explore.
+ * Shared infrastructure of the bench driver, sdsp_bench_all, which
+ * runs the paper's figures, tables and ablations and the
+ * critical-path what-if gate (the registry in experiments.hh;
+ * DESIGN.md sections 3 and 10 map them to the paper). The explore
+ * gate is sdsp-explore.
  *
  * Each experiment prints a header (what the paper reports, what shape
  * to expect) and its measurement tables. Every printed table is also
@@ -73,6 +73,8 @@ struct Variant
 {
     std::string name;
     MachineConfig config;
+    /** Run its points as recorded sweep jobs (SweepJob::record). */
+    bool record = false;
 };
 
 /** One deduplicated paper-grid point and the experiments needing it. */
@@ -81,6 +83,8 @@ struct PaperGridPoint
     const Workload *workload = nullptr;
     MachineConfig config;
     std::vector<std::string> experiments;
+    /** Some experiment needs the point recorded. */
+    bool record = false;
 };
 
 /** The deduplicated figure/table grid of the paper's evaluation. */
@@ -99,8 +103,8 @@ struct PaperGrid
  * experiments. Workloads are routed through cachedWorkload() so all
  * consumers share one assembly per (benchmark, threads, scale). This
  * is the single definition of "the paper grid": sdsp_bench_all
- * executes it and sdsp_bench_critpath verifies the critical-path
- * engine against it.
+ * executes it, and with --record verifies the critical-path engine
+ * against it.
  */
 PaperGrid buildPaperGrid();
 
@@ -131,11 +135,13 @@ void printSpeedupTable(
 
 /**
  * The value of command-line option (or environment variable) @p name:
- * @p text as a whole decimal number in [@p min_value, @p max_value].
+ * @p text read as parseNumber reads every tool's integers (decimal,
+ * 0x-hex or 0-octal, no sign), in [@p min_value, @p max_value].
  * Fatal otherwise, naming the option.
  */
-long parseIntOption(const char *name, const char *text, long min_value,
-                    long max_value);
+std::uint64_t parseIntOption(const char *name, const char *text,
+                             std::uint64_t min_value,
+                             std::uint64_t max_value);
 
 } // namespace bench
 } // namespace sdsp

@@ -5,8 +5,10 @@
 #include <map>
 
 #include "asm/rewrite.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/processor.hh"
+#include "explore/explore.hh"
 #include "harness/artifacts.hh"
 #include "isa/interpreter.hh"
 
@@ -27,23 +29,23 @@ groupName(BenchmarkGroup group)
 }
 
 /** The cycles table alone: the report of most grid experiments. */
-void
-reportCycles(const Experiment &experiment,
-             const ExperimentResults &results, unsigned)
+ReportOutput
+reportCycles(const Experiment &experiment, const ExperimentRun &run)
 {
     printCyclesTable(experiment.workloads, experiment.variants,
-                     results);
+                     run.results);
+    return {};
 }
 
 /** Cycles, then speedup over the first (single-threaded) column. */
-void
-reportSpeedup(const Experiment &experiment,
-              const ExperimentResults &results, unsigned)
+ReportOutput
+reportSpeedup(const Experiment &experiment, const ExperimentRun &run)
 {
     auto cycles = printCyclesTable(experiment.workloads,
-                                   experiment.variants, results);
+                                   experiment.variants, run.results);
     printSpeedupTable(experiment.workloads, experiment.variants, cycles,
                       0);
+    return {};
 }
 
 // ---- Figures 3-14 (each pair differs only in its benchmark group).
@@ -91,13 +93,12 @@ threadCountVariants()
     return variants;
 }
 
-void
-reportThreadCount(const Experiment &experiment,
-                  const ExperimentResults &results, unsigned)
+ReportOutput
+reportThreadCount(const Experiment &experiment, const ExperimentRun &run)
 {
     const auto &workloads = experiment.workloads;
     const auto &variants = experiment.variants;
-    auto cycles = printCyclesTable(workloads, variants, results);
+    auto cycles = printCyclesTable(workloads, variants, run.results);
     printSpeedupTable(workloads, variants, cycles, 0);
 
     // Peak improvement per benchmark (the paper's section 5.2
@@ -124,6 +125,7 @@ reportThreadCount(const Experiment &experiment,
                 peaks.toAscii().c_str());
     std::printf("group average peak improvement: %.1f%%\n",
                 sum / static_cast<double>(workloads.size()));
+    return {};
 }
 
 /** Figures 7/8 and Table 3: direct then 2-way associative for each
@@ -142,15 +144,14 @@ cacheVariants()
     return variants;
 }
 
-void
-reportCache(const Experiment &experiment,
-            const ExperimentResults &results, unsigned)
+ReportOutput
+reportCache(const Experiment &experiment, const ExperimentRun &run)
 {
     Table table({"threads", "direct", "assoc", "assoc gain %"});
     double n = static_cast<double>(experiment.workloads.size());
     for (unsigned threads = 1; threads <= 6; ++threads) {
         double direct_sum = 0.0, assoc_sum = 0.0;
-        for (const std::vector<RunResult> &row : results) {
+        for (const std::vector<RunResult> &row : run.results) {
             direct_sum +=
                 static_cast<double>(row[2 * (threads - 1)].cycles);
             assoc_sum +=
@@ -164,6 +165,7 @@ reportCache(const Experiment &experiment,
     }
     std::printf("\n%s", table.toAscii().c_str());
     exportCsv(table);
+    return {};
 }
 
 /** Figures 9/10: SU depth x {1,4} threads. */
@@ -199,13 +201,12 @@ fuConfigVariants()
     };
 }
 
-void
-reportFuConfig(const Experiment &experiment,
-               const ExperimentResults &results, unsigned)
+ReportOutput
+reportFuConfig(const Experiment &experiment, const ExperimentRun &run)
 {
     const auto &workloads = experiment.workloads;
     auto cycles =
-        printCyclesTable(workloads, experiment.variants, results);
+        printCyclesTable(workloads, experiment.variants, run.results);
 
     // The paper's headline: relative multithreaded speedup within
     // each FU configuration.
@@ -219,6 +220,7 @@ reportFuConfig(const Experiment &experiment,
                 default_sum / n);
     std::printf("multithreading speedup, enhanced FUs: %.1f%%\n",
                 enhanced_sum / n);
+    return {};
 }
 
 /** Figures 13/14: flexible vs lowest-block-only commit, 4 threads. */
@@ -233,13 +235,12 @@ commitVariants()
     };
 }
 
-void
-reportCommit(const Experiment &experiment,
-             const ExperimentResults &results, unsigned)
+ReportOutput
+reportCommit(const Experiment &experiment, const ExperimentRun &run)
 {
     const auto &workloads = experiment.workloads;
     auto cycles =
-        printCyclesTable(workloads, experiment.variants, results);
+        printCyclesTable(workloads, experiment.variants, run.results);
 
     // SU-stall counts, the paper's explanation for the gap, from the
     // same runs the cycles table reports.
@@ -248,8 +249,8 @@ reportCommit(const Experiment &experiment,
          "flexCommits"});
     double gain_sum = 0.0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
-        const RunResult &multiple = results[w][0];
-        const RunResult &only_lowest = results[w][1];
+        const RunResult &multiple = run.results[w][0];
+        const RunResult &only_lowest = run.results[w][1];
         stalls.beginRow();
         stalls.cell(workloads[w]->name());
         stalls.cell(multiple.suStalls);
@@ -260,6 +261,7 @@ reportCommit(const Experiment &experiment,
     std::printf("\n%s", stalls.toAscii().c_str());
     std::printf("average improvement from flexible commit: %.1f%%\n",
                 gain_sum / static_cast<double>(workloads.size()));
+    return {};
 }
 
 void
@@ -316,17 +318,16 @@ addFigures(std::vector<Experiment> &registry, BenchmarkGroup group)
 // ---- Tables.
 
 /** Table 3: average data-cache hit rates per group. */
-void
-reportHitRates(const Experiment &experiment,
-               const ExperimentResults &results, unsigned)
+ReportOutput
+reportHitRates(const Experiment &experiment, const ExperimentRun &run)
 {
     auto averageHitRate = [&](BenchmarkGroup group, std::size_t col) {
         double sum = 0.0;
         std::size_t count = 0;
-        for (std::size_t w = 0; w < results.size(); ++w) {
+        for (std::size_t w = 0; w < run.results.size(); ++w) {
             if (experiment.workloads[w]->group() != group)
                 continue;
-            sum += results[w][col].cacheHitRate;
+            sum += run.results[w][col].cacheHitRate;
             ++count;
         }
         return sum / static_cast<double>(count);
@@ -350,6 +351,7 @@ reportHitRates(const Experiment &experiment,
     }
     std::printf("\n%s", table.toAscii().c_str());
     exportCsv(table);
+    return {};
 }
 
 /**
@@ -359,9 +361,8 @@ reportHitRates(const Experiment &experiment,
  * so the instances at indices >= the default configuration's count
  * are exactly the "extra" units the paper tracks.
  */
-void
-reportFuUsage(const Experiment &experiment,
-              const ExperimentResults &results, unsigned)
+ReportOutput
+reportFuUsage(const Experiment &experiment, const ExperimentRun &run)
 {
     FuConfig def = FuConfig::sdspDefault();
     FuConfig enh = FuConfig::sdspEnhanced();
@@ -378,10 +379,10 @@ reportFuUsage(const Experiment &experiment,
                     format("fu.%s[%u].busyFraction", fu_class, i);
                 double sum = 0.0;
                 std::size_t count = 0;
-                for (std::size_t w = 0; w < results.size(); ++w) {
+                for (std::size_t w = 0; w < run.results.size(); ++w) {
                     if (experiment.workloads[w]->group() != group)
                         continue;
-                    sum += results[w][0].stats.get(stat);
+                    sum += run.results[w][0].stats.get(stat);
                     ++count;
                 }
                 table.beginRow();
@@ -394,12 +395,12 @@ reportFuUsage(const Experiment &experiment,
         }
     }
     std::printf("\n%s", table.toAscii().c_str());
+    return {};
 }
 
 /** Section 5.2: peak improvement per benchmark over 2-6 threads. */
-void
-reportSpeedupSummary(const Experiment &experiment,
-                     const ExperimentResults &results, unsigned)
+ReportOutput
+reportSpeedupSummary(const Experiment &experiment, const ExperimentRun &run)
 {
     Table table({"benchmark", "group", "base cycles", "peak speedup %",
                  "at threads"});
@@ -409,11 +410,11 @@ reportSpeedupSummary(const Experiment &experiment,
 
     for (std::size_t w = 0; w < experiment.workloads.size(); ++w) {
         const Workload *workload = experiment.workloads[w];
-        Cycle base = results[w][0].cycles;
+        Cycle base = run.results[w][0].cycles;
         double best = -1e9;
         unsigned best_threads = 2;
         for (unsigned threads = 2; threads <= 6; ++threads) {
-            Cycle cycles = results[w][threads - 1].cycles;
+            Cycle cycles = run.results[w][threads - 1].cycles;
             double speedup = speedupPercent(cycles, base);
             if (workload->group() == BenchmarkGroup::LivermoreLoops)
                 ll_speedups[threads].push_back(speedup);
@@ -445,6 +446,7 @@ reportSpeedupSummary(const Experiment &experiment,
         std::printf("  %u threads: %+.1f%%\n", threads,
                     mean(ll_speedups[threads]));
     }
+    return {};
 }
 
 /**
@@ -452,9 +454,8 @@ reportSpeedupSummary(const Experiment &experiment,
  * functional interpreter at 4 threads so the numbers are
  * architectural (no wrong-path pollution).
  */
-void
-reportInstructionMix(const Experiment &, const ExperimentResults &,
-                     unsigned scale)
+ReportOutput
+reportInstructionMix(const Experiment &, const ExperimentRun &run)
 {
     std::vector<std::string> header{"benchmark", "dyn.insts"};
     for (unsigned cls = 0; cls < kNumFuClasses; ++cls)
@@ -462,7 +463,7 @@ reportInstructionMix(const Experiment &, const ExperimentResults &,
     Table table(header);
 
     for (const Workload *workload : allWorkloads()) {
-        WorkloadImage image = workload->build(4, scale);
+        WorkloadImage image = workload->build(4, run.scale);
         Interpreter interp(image.program, 4);
         if (!interp.run())
             fatal("%s did not terminate", workload->name().c_str());
@@ -481,6 +482,7 @@ reportInstructionMix(const Experiment &, const ExperimentResults &,
         }
     }
     std::printf("\n%s", table.toAscii().c_str());
+    return {};
 }
 
 void
@@ -551,9 +553,8 @@ runProgram(const Program &prog, const WorkloadImage &image,
  * with the binary-rewriting pass. The rewritten programs are not
  * workload builds, so this entry runs its own simulations.
  */
-void
-reportAlignment(const Experiment &, const ExperimentResults &,
-                unsigned scale)
+ReportOutput
+reportAlignment(const Experiment &, const ExperimentRun &run)
 {
     LayoutOptions both;
     both.alignTargetsToBlocks = true;
@@ -565,7 +566,7 @@ reportAlignment(const Experiment &, const ExperimentResults &,
                  "fully-aligned", "gain %", "code growth %"});
     MachineConfig cfg = paperConfig(4);
     for (const Workload *workload : allWorkloads()) {
-        WorkloadImage image = workload->build(4, scale);
+        WorkloadImage image = workload->build(4, run.scale);
         Program targets = realignProgram(image.program, targets_only);
         Program full = realignProgram(image.program, both);
 
@@ -587,6 +588,7 @@ reportAlignment(const Experiment &, const ExperimentResults &,
                    1);
     }
     std::printf("\n%s", table.toAscii().c_str());
+    return {};
 }
 
 /** Section 4: one shared BTB vs private per-thread slices. */
@@ -601,15 +603,14 @@ btbVariants()
     };
 }
 
-void
-reportBtbBanks(const Experiment &experiment,
-               const ExperimentResults &results, unsigned)
+ReportOutput
+reportBtbBanks(const Experiment &experiment, const ExperimentRun &run)
 {
     Table table({"benchmark", "shared cycles", "private cycles",
                  "shared acc %", "private acc %"});
     for (std::size_t w = 0; w < experiment.workloads.size(); ++w) {
-        const RunResult &s = results[w][0];
-        const RunResult &p = results[w][1];
+        const RunResult &s = run.results[w][0];
+        const RunResult &p = run.results[w][1];
         table.beginRow();
         table.cell(experiment.workloads[w]->name());
         table.cell(s.cycles);
@@ -619,6 +620,7 @@ reportBtbBanks(const Experiment &experiment,
     }
     std::printf("\n%s", table.toAscii().c_str());
     exportCsv(table);
+    return {};
 }
 
 /** Table 2: result bypassing on vs off, 1 and 4 threads. */
@@ -710,14 +712,13 @@ thread0Share(const RunResult &result)
     return total > 0 ? t0 / total : 0.0;
 }
 
-void
-reportPriorityFetch(const Experiment &experiment,
-                    const ExperimentResults &results, unsigned)
+ReportOutput
+reportPriorityFetch(const Experiment &experiment, const ExperimentRun &run)
 {
     Table table({"benchmark", "equal cycles", "2x cycles", "4x cycles",
                  "t0 share equal %", "t0 share 4x %"});
     for (std::size_t w = 0; w < experiment.workloads.size(); ++w) {
-        const std::vector<RunResult> &row = results[w];
+        const std::vector<RunResult> &row = run.results[w];
         table.beginRow();
         table.cell(experiment.workloads[w]->name());
         table.cell(row[0].cycles);
@@ -728,6 +729,7 @@ reportPriorityFetch(const Experiment &experiment,
     }
     std::printf("\n%s", table.toAscii().c_str());
     exportCsv(table);
+    return {};
 }
 
 /** Table 2: full tag renaming vs 1-bit scoreboarding. */
@@ -749,17 +751,16 @@ renamingVariants()
 /** Section 6.1 item 4: LL5 (block-cyclic distribution, per-block
  *  flags) vs LL5sched (one chunk per thread, one flag per
  *  repetition), 1-6 threads. */
-void
-reportSoftwareSched(const Experiment &, const ExperimentResults &results,
-                    unsigned)
+ReportOutput
+reportSoftwareSched(const Experiment &, const ExperimentRun &run)
 {
     Table table({"threads", "LL5 cycles", "LL5sched cycles",
                  "LL5 speedup %", "LL5sched speedup %"});
-    Cycle base_naive = results[0][0].cycles;
-    Cycle base_sched = results[1][0].cycles;
+    Cycle base_naive = run.results[0][0].cycles;
+    Cycle base_sched = run.results[1][0].cycles;
     for (unsigned threads = 1; threads <= 6; ++threads) {
-        Cycle n = results[0][threads - 1].cycles;
-        Cycle s = results[1][threads - 1].cycles;
+        Cycle n = run.results[0][threads - 1].cycles;
+        Cycle s = run.results[1][threads - 1].cycles;
         table.beginRow();
         table.cell(std::uint64_t{threads});
         table.cell(n);
@@ -769,6 +770,7 @@ reportSoftwareSched(const Experiment &, const ExperimentResults &results,
     }
     std::printf("\n%s", table.toAscii().c_str());
     exportCsv(table);
+    return {};
 }
 
 /** Store buffers of 4-32 entries under the commit-gated drain. */
@@ -874,6 +876,284 @@ addAblations(std::vector<Experiment> &registry)
          all, storeBufferVariants(), reportCycles});
 }
 
+// ---- The critical-path what-if gate (DESIGN.md section 10).
+
+/** Spot-check error tolerance at the golden scale and its cap,
+ *  percent (see scaledTolerancePercent). */
+constexpr double kSpotTolerancePercent = 5.0;
+constexpr double kSpotToleranceCapPercent = 30.0;
+
+/** The projected machine changes, one column each. */
+std::vector<WhatIfProjection>
+critWhatIfs()
+{
+    std::vector<WhatIfProjection> what_ifs;
+    for (const char *spec :
+         {"issueWidth=16", "suEntries=64", "perfectDCache=1",
+          "infiniteStoreBuffer=1", "bypassing=0",
+          "issueWidth=16,suEntries=64"}) {
+        WhatIfProjection &what_if = what_ifs.emplace_back();
+        what_if.name = spec;
+        std::string error;
+        if (!what_if.whatIf.applyKeyValues(spec, &error))
+            fatal("bad what-if %s: %s", spec, error.c_str());
+    }
+    return what_ifs;
+}
+
+/** critVariants() puts the 1- and 4-thread recorded variants first,
+ *  then one re-simulated variant per spot check. */
+constexpr std::size_t kCritRecorded = 2;
+constexpr std::size_t kCritFourThreads = 1;
+
+/**
+ * One projection of the 4-thread recording checked against a real
+ * re-simulation. Chosen where the recorded-trace model is
+ * predictive: capacity increases that relieve a recorded bottleneck
+ * without changing the memory behavior (LL1/LL5), and a pure
+ * edge-weight change (Sieve without bypassing). Projections that
+ * alter cache contention second-order (e.g. deeper SU on a thrashing
+ * workload) are reported in the JSON but not gated.
+ */
+struct SpotCheck
+{
+    const char *workload;
+    /** A what-if of critWhatIfs(), by name; also its variant's. */
+    const char *whatIf;
+};
+constexpr SpotCheck kSpotChecks[] = {{"LL1", "suEntries=64"},
+                                     {"LL5", "issueWidth=16"},
+                                     {"Sieve", "bypassing=0"}};
+
+/** The recorded 1- and 4-thread machines, then each spot check's
+ *  4-thread machine under its what-if, re-simulated. */
+std::vector<Variant>
+critVariants(const std::vector<WhatIfProjection> &what_ifs)
+{
+    std::vector<Variant> variants{{"1T", paperConfig(1), true},
+                                  {"4T", paperConfig(4), true}};
+    for (const SpotCheck &check : kSpotChecks) {
+        auto what_if = std::find_if(
+            what_ifs.begin(), what_ifs.end(),
+            [&](const auto &entry) { return entry.name == check.whatIf; });
+        sdsp_assert(what_if != what_ifs.end(),
+                    "spot-check what-if %s not projected", check.whatIf);
+        variants.push_back(
+            {check.whatIf, applyWhatIf(what_if->whatIf, paperConfig(4))});
+    }
+    return variants;
+}
+
+/**
+ * Print every recorded run's critical path and projections, then the
+ * spot checks against their re-simulations, gated at every scale with
+ * a scale-aware tolerance; write the sdsp-bench-critpath-v1 object. A
+ * failed recorded run was never shown exact, so it counts as inexact;
+ * its status and error say why.
+ */
+ReportOutput
+reportCritWhatIf(const Experiment &experiment, const ExperimentRun &run)
+{
+    const std::vector<const Workload *> &workloads = experiment.workloads;
+    const std::vector<Variant> &variants = experiment.variants;
+    std::size_t inexact = 0;
+    std::printf("\n%-10s %3s %10s %6s %9s |", "benchmark", "t",
+                "cycles", "exact", "ms/relax");
+    for (const WhatIfProjection &what_if : experiment.whatIfs)
+        std::printf(" %-12.12s", what_if.name.c_str());
+    std::printf("\n");
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        for (std::size_t v = 0; v < kCritRecorded; ++v) {
+            const PointOutcome &point = run.outcomes[w][v];
+            const std::string name = workloads[w]->name();
+            unsigned threads = variants[v].config.numThreads;
+            if (point.status != JobStatus::Ok) {
+                ++inexact;
+                std::printf("%-10s %3u %10s %6s | %s: %s\n",
+                            name.c_str(), threads, "-", "NO",
+                            jobStatusName(point.status),
+                            point.error.c_str());
+                continue;
+            }
+            std::printf("%-10s %3u %10llu %6s %9.2f |", name.c_str(),
+                        threads,
+                        static_cast<unsigned long long>(
+                            run.results[w][v].cycles),
+                        "yes", point.meanRelaxMs);
+            for (const WhatIfProjection &projection : point.projections)
+                std::printf(" %-12llu",
+                            static_cast<unsigned long long>(
+                                projection.result.cycles));
+            std::printf("\n");
+        }
+    }
+
+    // Spot checks: each projection against its re-simulation.
+    struct Check
+    {
+        Cycle projected = 0;
+        Cycle resimulated = 0;
+        double errorPercent = 0.0;
+        bool pass = false;
+        /** Why the check could not be made; empty when it was. */
+        std::string error;
+    };
+    const double tolerance = scaledTolerancePercent(
+        run.scale, kSpotTolerancePercent, kSpotToleranceCapPercent);
+    const unsigned threads = variants[kCritFourThreads].config.numThreads;
+    ReportOutput output;
+    std::vector<Check> checks;
+    std::printf("\nspot checks (projection vs. re-simulation, gated "
+                "at %.1f%% for scale %u):\n",
+                tolerance, run.scale);
+    for (std::size_t c = 0; c < std::size(kSpotChecks); ++c) {
+        const SpotCheck &spot = kSpotChecks[c];
+        std::size_t w = 0;
+        while (workloads[w]->name() != spot.workload)
+            ++w;
+        const PointOutcome &recorded = run.outcomes[w][kCritFourThreads];
+        const PointOutcome &real = run.outcomes[w][kCritRecorded + c];
+        Check &check = checks.emplace_back();
+        for (const WhatIfProjection &projection : recorded.projections) {
+            if (projection.name == spot.whatIf)
+                check.projected = projection.result.cycles;
+        }
+        if (recorded.status != JobStatus::Ok) {
+            check.error = "its recorded point failed";
+        } else if (real.status != JobStatus::Ok) {
+            check.error = std::string(jobStatusName(real.status)) +
+                          ": " + real.error;
+        } else {
+            check.resimulated = run.results[w][kCritRecorded + c].cycles;
+            check.errorPercent =
+                (static_cast<double>(check.projected) -
+                 static_cast<double>(check.resimulated)) /
+                static_cast<double>(check.resimulated) * 100.0;
+            check.pass = check.errorPercent <= tolerance &&
+                         check.errorPercent >= -tolerance;
+        }
+        if (!check.error.empty()) {
+            std::printf("  %-6s t=%u %-22s FAIL (%s)\n", spot.workload,
+                        threads, spot.whatIf, check.error.c_str());
+            output.failures.push_back(
+                format("spot check %s t=%u %s: %s", spot.workload,
+                       threads, spot.whatIf, check.error.c_str()));
+            continue;
+        }
+        std::printf("  %-6s t=%u %-22s projected %8llu  real %8llu  "
+                    "error %+.2f%%  %s\n",
+                    spot.workload, threads, spot.whatIf,
+                    static_cast<unsigned long long>(check.projected),
+                    static_cast<unsigned long long>(check.resimulated),
+                    check.errorPercent, check.pass ? "ok" : "FAIL");
+        if (!check.pass) {
+            output.failures.push_back(format(
+                "spot check %s t=%u %s: error %+.2f%% beyond %.1f%%",
+                spot.workload, threads, spot.whatIf, check.errorPercent,
+                tolerance));
+        }
+    }
+
+    JsonWriter writer;
+    writer.beginObject();
+    writer.field("schema", "sdsp-bench-critpath-v1");
+    writer.field("scale", run.scale);
+    writer.field("spotTolerancePercent", tolerance);
+    writer.field("points",
+                 std::uint64_t{workloads.size() * kCritRecorded});
+    writer.field("inexact", std::uint64_t{inexact});
+    writer.field("spot_check_failures",
+                 std::uint64_t{output.failures.size()});
+    writer.key("runs").beginArray();
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        for (std::size_t v = 0; v < kCritRecorded; ++v) {
+            const PointOutcome &point = run.outcomes[w][v];
+            const Cycle measured = run.results[w][v].cycles;
+            writer.beginObject();
+            writer.field("workload", workloads[w]->name());
+            writer.field("threads", variants[v].config.numThreads);
+            writer.field("measuredCycles", measured);
+            if (point.status != JobStatus::Ok) {
+                writer.field("exact", false);
+                writer.field("status", jobStatusName(point.status));
+                writer.field("error", point.error);
+                writer.endObject();
+                continue;
+            }
+            writer.field("criticalPath", point.baseline.cycles);
+            writer.field("exact", true);
+            writer.field("nodes", std::uint64_t{point.nodes});
+            writer.field("edges", std::uint64_t{point.edges});
+            writer.field("buildMs", point.buildMs);
+            writer.field("meanRelaxMs", point.meanRelaxMs);
+            writer.key("breakdown").beginObject();
+            for (unsigned e = 0; e < kNumEdgeClasses; ++e) {
+                if (!point.baseline.breakdown[e])
+                    continue;
+                writer.field(edgeClassName(static_cast<EdgeClass>(e)),
+                             point.baseline.breakdown[e]);
+            }
+            writer.endObject();
+            writer.key("whatIf").beginArray();
+            for (const WhatIfProjection &projection : point.projections) {
+                const Cycle cycles = projection.result.cycles;
+                writer.beginObject();
+                writer.field("name", projection.name);
+                writer.field("cycles", cycles);
+                writer.field("confidence",
+                             confidenceName(projection.result.confidence));
+                writer.field("speedup",
+                             cycles ? static_cast<double>(measured) /
+                                          static_cast<double>(cycles)
+                                    : 0.0);
+                writer.endObject();
+            }
+            writer.endArray();
+            writer.endObject();
+        }
+    }
+    writer.endArray();
+    writer.key("spotChecks").beginArray();
+    for (std::size_t c = 0; c < checks.size(); ++c) {
+        const Check &check = checks[c];
+        writer.beginObject();
+        writer.field("workload", kSpotChecks[c].workload);
+        writer.field("threads", threads);
+        writer.field("whatIf", kSpotChecks[c].whatIf);
+        writer.field("projected", check.projected);
+        writer.field("resimulated", check.resimulated);
+        writer.field("errorPercent", check.errorPercent);
+        writer.field("gated", true);
+        writer.field("scale", run.scale);
+        writer.field("tolerancePercent", tolerance);
+        writer.field("pass", check.pass);
+        if (!check.error.empty())
+            writer.field("error", check.error);
+        writer.endObject();
+    }
+    writer.endArray();
+    writer.endObject();
+    output.json = writer.str();
+    return output;
+}
+
+void
+addCritWhatIf(std::vector<Experiment> &registry)
+{
+    std::vector<WhatIfProjection> what_ifs = critWhatIfs();
+    std::vector<Variant> variants = critVariants(what_ifs);
+    registry.push_back(
+        {"crit_whatif", "Critical-path what-ifs (DESIGN.md section 10)",
+         "every benchmark recorded at 1 and 4 threads, six machine "
+         "changes projected from each dependence graph, three "
+         "projections re-simulated",
+         "every critical path equals the measured cycle count; the "
+         "spot-checked projections land within 5% of their "
+         "re-simulations at the golden scale (wider above it)",
+         allWorkloads(), std::move(variants), reportCritWhatIf,
+         std::move(what_ifs)});
+}
+
 /** Deduplicating accumulator of experiment points. */
 class GridBuilder
 {
@@ -904,10 +1184,11 @@ class GridBuilder
                     grid_.points.push_back(
                         {&cachedWorkload(*workload), variant.config, {}});
                 }
-                std::vector<std::string> &tags =
-                    grid_.points[it->second].experiments;
-                if (tags.empty() || tags.back() != experiment.id)
-                    tags.push_back(experiment.id);
+                PaperGridPoint &point = grid_.points[it->second];
+                point.record |= variant.record;
+                if (point.experiments.empty() ||
+                    point.experiments.back() != experiment.id)
+                    point.experiments.push_back(experiment.id);
             }
         }
     }
@@ -980,6 +1261,7 @@ experiments()
         std::vector<Experiment> all = figureExperiments();
         addTables(all);
         addAblations(all);
+        addCritWhatIf(all);
         return all;
     }();
     return registry;

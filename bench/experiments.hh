@@ -9,11 +9,12 @@
  * selection of the registry through the sweep engine (verification,
  * the static IPC-bound gate, checkpoint/resume and fault injection
  * apply to every point), and buildPaperGrid() enumerates its figure
- * entries, so the golden grid, perfbench, sdsp_bench_critpath's
- * recorded exactness sweep (--grid) and the printed figures all read
- * one definition. The critpath and explore gates are not entries:
- * their spot checks and frontier validation need a report that can
- * fail a run. DESIGN.md section 3 maps the entries to the paper.
+ * entries, so the golden grid, perfbench, the recorded exactness
+ * sweep (sdsp_bench_all --record) and the printed figures all read
+ * one definition. A report can also fail the run and write an
+ * artifact object: crit_whatif records its points, projects what-ifs
+ * from their dependence graphs and gates three projections on their
+ * re-simulations. DESIGN.md section 3 maps the entries to the paper.
  */
 
 #ifndef SDSP_BENCH_EXPERIMENTS_HH
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "critpath/report.hh"
 
 namespace sdsp
 {
@@ -32,16 +34,51 @@ namespace bench
 /** The runs of one experiment: results[workload][variant]. */
 using ExperimentResults = std::vector<std::vector<RunResult>>;
 
+/**
+ * How the sweep classified one point, and for a point of a recorded
+ * variant what its dependence graph showed: the graph is relaxed
+ * under its entry's what-ifs as the point completes, then released.
+ */
+struct PointOutcome
+{
+    JobStatus status = JobStatus::Ok;
+    std::string error;
+    std::size_t nodes = 0;
+    std::size_t edges = 0;
+    RelaxResult baseline;
+    std::vector<WhatIfProjection> projections;
+    /** Host ms to build and check the graph and relax its baseline,
+     *  and per projection. */
+    double buildMs = 0.0;
+    double meanRelaxMs = 0.0;
+};
+
+/** One experiment's points after the sweep, as its report reads them. */
+struct ExperimentRun
+{
+    ExperimentResults results;
+    /** outcomes[workload][variant]. */
+    std::vector<std::vector<PointOutcome>> outcomes;
+    /** Problem scale in percent; entries without sweep points measure
+     *  in their report at this scale. */
+    unsigned scale = 100;
+};
+
+/** What a report returns besides the tables it prints. */
+struct ReportOutput
+{
+    /** Gate failures: each is printed and makes the run exit 1. */
+    std::vector<std::string> failures;
+    /** The entry's artifact object, written under reports.<id> in
+     *  bench_results.json; empty for none. */
+    std::string json;
+};
+
 struct Experiment;
 
-/**
- * Print @p experiment's tables under its banner from @p results.
- * Entries without sweep points measure here themselves, at problem
- * scale @p scale.
- */
-using Report = void (*)(const Experiment &experiment,
-                        const ExperimentResults &results,
-                        unsigned scale);
+/** Print @p experiment's tables from @p run. */
+using Report = ReportOutput (*)(const Experiment &experiment,
+                                const ExperimentRun &run);
 
 /** One figure, table or ablation of the paper's evaluation. */
 struct Experiment
@@ -60,12 +97,16 @@ struct Experiment
     std::vector<const Workload *> workloads;
     std::vector<Variant> variants;
     Report report;
+    /** Projected from each recorded variant's graph (results unset).
+     *  An entry with what-ifs reports its failed points itself; any
+     *  other entry prints no tables when a point failed. */
+    std::vector<WhatIfProjection> whatIfs{};
 };
 
 /**
  * Every experiment, in print order: the Group I figures, the Group II
- * figures, the tables, then the ablations. No workload image is built
- * to make it.
+ * figures, the tables, the ablations, then crit_whatif. No workload
+ * image is built to make it.
  */
 const std::vector<Experiment> &experiments();
 

@@ -27,13 +27,23 @@
  * A resumed artifact is byte-identical to an uninterrupted one in
  * every deterministic field.
  *
- * Exit status is non-zero if any run fails to finish or verify, so
- * CI can gate on this binary alone.
+ * --record runs every selected point as a recorded sweep job: its
+ * worker builds the run's dependence graph and checks the critical
+ * path against the measured cycles (an inexact point fails), and the
+ * completion callback releases the graph, so only the in-flight
+ * graphs are alive. An entry with what-ifs (crit_whatif) records its
+ * recorded variants without the flag and projects its what-ifs from
+ * each graph in that callback. A report can fail the run and write
+ * an object under reports.<id> in bench_results.json.
+ *
+ * Exit status is non-zero if any run fails to finish or verify, or a
+ * report's gate fails, so CI can gate on this binary alone.
  *
  *     sdsp_bench_all [--jobs N] [--scale PCT] [--out FILE]
- *                    [--only SUBSTR] [--list] [--timeout SECS]
- *                    [--max-cycles N] [--retries N] [--resume PATH]
- *                    [--checkpoint PATH] [--no-checkpoint]
+ *                    [--only SUBSTR] [--list] [--record]
+ *                    [--timeout SECS] [--max-cycles N] [--retries N]
+ *                    [--resume PATH] [--checkpoint PATH]
+ *                    [--no-checkpoint]
  *
  * --jobs defaults to SDSP_BENCH_JOBS / hardware_concurrency, --scale
  * to SDSP_BENCH_SCALE / 100; --timeout/--max-cycles/--retries default
@@ -42,8 +52,11 @@
  * to --out, else to $SDSP_BENCH_JSON/bench_results.json, else
  * ./bench_results.json; the checkpoint defaults to
  * <out>.checkpoint.jsonl and is removed after a fully verified sweep.
+ * A recorded point cannot be restored from a checkpoint, so recording
+ * refuses --resume.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,6 +73,7 @@
 #include "analysis/ilp.hh"
 #include "bench_util.hh"
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "experiments.hh"
 #include "harness/artifacts.hh"
 #include "harness/checkpoint.hh"
@@ -116,44 +130,85 @@ computeBounds(const std::vector<GridPoint> &points, unsigned scale)
 }
 
 /**
+ * @p outcome as reports read it. A recorded point's graph is relaxed
+ * at baseline and under @p what_ifs when an entry projects it, and is
+ * released either way, so only the in-flight graphs stay alive.
+ */
+PointOutcome
+reduceOutcome(JobOutcome &outcome,
+              const std::vector<WhatIfProjection> *what_ifs)
+{
+    PointOutcome point;
+    point.status = outcome.status;
+    point.error = outcome.error;
+    const std::unique_ptr<DdgGraph> graph = std::move(outcome.graph);
+    if (!graph || !what_ifs)
+        return point;
+    point.nodes = graph->nodeCount();
+    point.edges = graph->edgeCount();
+    auto milliseconds = [](auto from, auto to) {
+        return std::chrono::duration<double, std::milli>(to - from)
+            .count();
+    };
+    auto start = std::chrono::steady_clock::now();
+    point.baseline = graph->relax(WhatIf{});
+    auto baseline_end = std::chrono::steady_clock::now();
+    point.buildMs = outcome.graphSeconds * 1000.0 +
+                    milliseconds(start, baseline_end);
+    point.projections = *what_ifs;
+    for (WhatIfProjection &projection : point.projections)
+        projection.result = graph->relax(projection.whatIf);
+    point.meanRelaxMs =
+        milliseconds(baseline_end, std::chrono::steady_clock::now()) /
+        static_cast<double>(what_ifs->size());
+    return point;
+}
+
+/**
  * Print @p selected's banner and tables from this run's outcomes, or
  * a one-line note when some of its points were restored from a
- * checkpoint (whose results lack what the tables need) or failed.
+ * checkpoint (whose results lack what the tables need) or failed and
+ * the entry does not report failed points itself.
+ * @return what its report returned.
  */
-void
+ReportOutput
 printExperiment(const SelectedExperiment &selected,
                 const std::vector<JobOutcome> &outcomes,
+                const std::vector<PointOutcome> &point_outcomes,
                 const std::vector<const CheckpointEntry *> &restored,
                 unsigned scale)
 {
     const Experiment &experiment = *selected.experiment;
     std::size_t points = 0, restored_points = 0, failed_points = 0;
-    ExperimentResults results;
+    ExperimentRun run;
+    run.scale = scale;
     for (const std::vector<std::size_t> &row : selected.points) {
-        results.emplace_back();
+        run.results.emplace_back();
+        run.outcomes.emplace_back();
         for (std::size_t index : row) {
             ++points;
             if (restored[index])
                 ++restored_points;
             else if (!outcomes[index].ok())
                 ++failed_points;
-            results.back().push_back(outcomes[index].result);
+            run.results.back().push_back(outcomes[index].result);
+            run.outcomes.back().push_back(point_outcomes[index]);
         }
     }
     if (restored_points) {
         std::printf("%s: %zu of %zu points restored from a checkpoint; "
                     "rerun without --resume for its tables\n",
                     experiment.id.c_str(), restored_points, points);
-        return;
+        return {};
     }
-    if (failed_points) {
+    if (failed_points && experiment.whatIfs.empty()) {
         std::printf("%s: %zu of %zu points failed; no tables\n",
                     experiment.id.c_str(), failed_points, points);
-        return;
+        return {};
     }
     printHeader(experiment.banner, experiment.title,
                 experiment.expectation, scale);
-    experiment.report(experiment, results, scale);
+    return experiment.report(experiment, run);
 }
 
 int
@@ -161,7 +216,7 @@ usage(const char *argv0, int code)
 {
     std::printf(
         "usage: %s [--jobs N] [--scale PCT] [--out FILE]\n"
-        "       [--only SUBSTR] [--list] [--timeout SECS]\n"
+        "       [--only SUBSTR] [--list] [--record] [--timeout SECS]\n"
         "       [--max-cycles N] [--retries N] [--resume PATH]\n"
         "       [--checkpoint PATH] [--no-checkpoint]\n",
         argv0);
@@ -181,6 +236,7 @@ main(int argc, char **argv)
     std::string checkpoint_path;
     bool checkpointing = true;
     bool list_only = false;
+    bool record_all = false;
     SweepOptions options = SweepOptions::fromEnvironment();
 
     for (int i = 1; i < argc; ++i) {
@@ -190,8 +246,8 @@ main(int argc, char **argv)
                 fatal("%s needs a value", name);
             return argv[i];
         };
-        auto intArg = [&](const char *name, long min_value,
-                          long max_value) {
+        auto intArg = [&](const char *name, std::uint64_t min_value,
+                          std::uint64_t max_value) {
             return parseIntOption(name, strArg(name), min_value,
                                   max_value);
         };
@@ -212,13 +268,8 @@ main(int argc, char **argv)
                 fatal("bad --timeout value: %s", text);
             options.timeoutSeconds = value;
         } else if (arg == "--max-cycles") {
-            const char *text = strArg("--max-cycles");
-            const char *end = text + std::strlen(text);
-            std::uint64_t value = 0;
-            auto [ptr, ec] = std::from_chars(text, end, value);
-            if (ec != std::errc() || ptr != end)
-                fatal("bad --max-cycles value: %s", text);
-            options.maxCycles = value;
+            options.maxCycles =
+                intArg("--max-cycles", 0, kFieldMax<std::uint64_t>);
         } else if (arg == "--retries") {
             options.retries =
                 static_cast<unsigned>(intArg("--retries", 0, 100));
@@ -230,6 +281,8 @@ main(int argc, char **argv)
             checkpointing = false;
         } else if (arg == "--list") {
             list_only = true;
+        } else if (arg == "--record") {
+            record_all = true;
         } else if (arg == "--help" || arg == "-h") {
             return usage(argv[0], 0);
         } else {
@@ -258,6 +311,29 @@ main(int argc, char **argv)
     if (points.empty() && selection.experiments.empty())
         fatal("no experiment or grid point matches --only %s",
               filter.c_str());
+    const bool records =
+        record_all ||
+        std::any_of(points.begin(), points.end(),
+                    [](const GridPoint &point) { return point.record; });
+    if (records && !resume_path.empty())
+        fatal("--resume cannot restore recorded points (--record or a "
+              "recording entry): a restored point was never recorded");
+
+    // The what-ifs each recorded point is projected under: those of
+    // the selected entry whose recorded variant it is.
+    std::vector<const std::vector<WhatIfProjection> *> what_ifs(
+        points.size(), nullptr);
+    for (const SelectedExperiment &selected : selection.experiments) {
+        const Experiment &experiment = *selected.experiment;
+        if (experiment.whatIfs.empty())
+            continue;
+        for (const std::vector<std::size_t> &row : selected.points) {
+            for (std::size_t v = 0; v < row.size(); ++v) {
+                if (experiment.variants[v].record)
+                    what_ifs[row[v]] = &experiment.whatIfs;
+            }
+        }
+    }
 
     // Static IPC ceilings (one per point) that every verified run
     // must respect.
@@ -324,6 +400,7 @@ main(int argc, char **argv)
         job.scale = scale;
         job.label = points[i].experiments.front();
         job.skip = restored[i] != nullptr;
+        job.record = record_all || points[i].record;
         grid_jobs.push_back(std::move(job));
     }
 
@@ -349,13 +426,15 @@ main(int argc, char **argv)
     }
 
     // As each point completes, persist it (so a crash loses at most
-    // the in-flight points) and surface failures immediately.
-    auto on_complete = [&](std::size_t index,
-                           const JobOutcome &outcome) {
+    // the in-flight points), reduce its graph to what the reports
+    // read, and surface failures immediately.
+    std::vector<PointOutcome> point_outcomes(points.size());
+    auto on_complete = [&](std::size_t index, JobOutcome &outcome) {
         if (outcome.status == JobStatus::Skipped)
             return;
         if (checkpoint)
             checkpoint->record(grid_jobs[index], outcome);
+        point_outcomes[index] = reduceOutcome(outcome, what_ifs[index]);
         if (!outcome.ok()) {
             std::fprintf(stderr, "FAIL [%s] %s (%s): %s\n",
                          jobStatusName(outcome.status),
@@ -376,6 +455,8 @@ main(int argc, char **argv)
     // uninterrupted one exactly.
     std::size_t failures = 0;
     std::size_t bound_violations = 0;
+    std::size_t recorded = 0;
+    std::size_t recorded_exact = 0;
     double sim_seconds = 0.0;
     double sim_loop_seconds = 0.0;
     std::uint64_t sim_cycles = 0;
@@ -424,6 +505,25 @@ main(int argc, char **argv)
             ++failures;
         else
             checkBound(i, result.cycles, result.committed);
+        if (grid_jobs[i].record) {
+            ++recorded;
+            recorded_exact += outcomes[i].ok();
+        }
+    }
+
+    // Reports print their tables before the artifact is written: it
+    // holds their objects, and their gate failures fail the run.
+    std::vector<std::string> gate_failures;
+    std::vector<std::pair<std::string, std::string>> reports;
+    for (const SelectedExperiment &selected : selection.experiments) {
+        const std::string &id = selected.experiment->id;
+        ReportOutput output = printExperiment(selected, outcomes,
+                                              point_outcomes, restored,
+                                              scale);
+        for (const std::string &failure : output.failures)
+            gate_failures.push_back(id + ": " + failure);
+        if (!output.json.empty())
+            reports.emplace_back(id, std::move(output.json));
     }
 
     JsonWriter writer;
@@ -477,6 +577,12 @@ main(int argc, char **argv)
         writer.endObject();
     }
     writer.endArray();
+    if (!reports.empty()) {
+        writer.key("reports").beginObject();
+        for (const auto &[id, json] : reports)
+            writer.key(id).rawValue(json);
+        writer.endObject();
+    }
     writer.endObject();
 
     std::ofstream file(out_path);
@@ -516,10 +622,13 @@ main(int argc, char **argv)
                      "IPC bound\n",
                      bound_violations);
     }
+    for (const std::string &failure : gate_failures)
+        std::fprintf(stderr, "GATE %s\n", failure.c_str());
 
-    for (const SelectedExperiment &selected : selection.experiments)
-        printExperiment(selected, outcomes, restored, scale);
-
+    if (recorded) {
+        std::printf("%zu/%zu recorded points exact\n", recorded_exact,
+                    recorded);
+    }
     std::printf("wall %.2fs, serial-equivalent %.2fs (%.1fx), "
                 "%zu/%zu verified (%zu restored from checkpoint), "
                 "%zu IPC-bound violations\n",
@@ -528,5 +637,7 @@ main(int argc, char **argv)
                 outcomes.size() - failures, outcomes.size(),
                 restored_count, bound_violations);
     std::printf("(json written to %s)\n", out_path.c_str());
-    return failures == 0 && bound_violations == 0 ? 0 : 1;
+    const bool passed = failures == 0 && bound_violations == 0 &&
+                        gate_failures.empty();
+    return passed ? 0 : 1;
 }

@@ -568,6 +568,25 @@ class DdgGraph
     std::vector<std::uint32_t> issueOrder_;
 };
 
+/** A graph built from a recording and checked against it. */
+struct CheckedGraph
+{
+    std::unique_ptr<DdgGraph> graph;
+    /** verifyExact()'s first mismatch; empty when the graph is
+     *  exact. */
+    std::string mismatch;
+};
+
+/**
+ * Build the graph of @p recorder's finished run on @p config, which
+ * took @p measured_cycles, and check it exact. The one build of a
+ * recording: recorded sweep jobs, sdsp-run --critpath and
+ * sdsp-critpath all call it.
+ */
+CheckedGraph buildCheckedGraph(const DdgRecorder &recorder,
+                               const MachineConfig &config,
+                               Cycle measured_cycles);
+
 } // namespace sdsp
 
 #endif // SDSP_CRITPATH_DDG_HH

@@ -56,4 +56,15 @@ DdgRecorder::emit(const TraceEvent &event)
     }
 }
 
+CheckedGraph
+buildCheckedGraph(const DdgRecorder &recorder,
+                  const MachineConfig &config, Cycle measured_cycles)
+{
+    CheckedGraph checked;
+    checked.graph = std::make_unique<DdgGraph>(recorder.trace(), config,
+                                               measured_cycles);
+    checked.mismatch = checked.graph->verifyExact();
+    return checked;
+}
+
 } // namespace sdsp

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 
 namespace sdsp
 {
@@ -13,17 +14,17 @@ namespace sdsp
 namespace
 {
 
-/** Parse a non-negative integer; fatal with context on failure. */
-unsigned long
+/** Parse an unsigned integer as parseNumber reads it; fatal with
+ *  context on failure. */
+std::uint64_t
 parseCount(const std::string &text, const char *what)
 {
     if (text.empty())
         fatal("SDSP_BENCH_FAULT: missing %s", what);
-    char *end = nullptr;
-    unsigned long value = std::strtoul(text.c_str(), &end, 10);
-    if (*end)
+    auto value = parseNumber(text, 0, kFieldMax<std::uint64_t>);
+    if (!value)
         fatal("SDSP_BENCH_FAULT: bad %s: %s", what, text.c_str());
-    return value;
+    return *value;
 }
 
 FaultRule
@@ -40,7 +41,7 @@ parseRule(const std::string &text)
 
     std::size_t star = action.rfind('*');
     if (star != std::string::npos) {
-        unsigned long n =
+        std::uint64_t n =
             parseCount(action.substr(star + 1), "attempt count");
         if (n < 1 || n > 1000)
             fatal("SDSP_BENCH_FAULT: attempt count out of range: %s",
@@ -53,7 +54,7 @@ parseRule(const std::string &text)
         rule.action = FaultAction::Throw;
     } else if (action.rfind("delay:", 0) == 0) {
         rule.action = FaultAction::Delay;
-        unsigned long ms =
+        std::uint64_t ms =
             parseCount(action.substr(6), "delay milliseconds");
         if (ms > 600'000)
             fatal("SDSP_BENCH_FAULT: delay too long: %s",
@@ -61,7 +62,7 @@ parseRule(const std::string &text)
         rule.delayMillis = static_cast<unsigned>(ms);
     } else if (action.rfind("exit:", 0) == 0) {
         rule.action = FaultAction::Exit;
-        unsigned long code =
+        std::uint64_t code =
             parseCount(action.substr(5), "exit code");
         if (code > 255)
             fatal("SDSP_BENCH_FAULT: exit code out of range: %s",

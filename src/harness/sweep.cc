@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 
 namespace sdsp
 {
@@ -29,18 +30,17 @@ attachGraph(const DdgRecorder &recorder, const MachineConfig &config,
             JobOutcome &outcome)
 {
     auto start = std::chrono::steady_clock::now();
-    auto graph = std::make_unique<DdgGraph>(recorder.trace(), config,
-                                            outcome.result.cycles);
-    std::string mismatch = graph->verifyExact();
+    CheckedGraph checked =
+        buildCheckedGraph(recorder, config, outcome.result.cycles);
     outcome.graphSeconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
-    if (!mismatch.empty()) {
+    if (!checked.mismatch.empty()) {
         outcome.status = JobStatus::Failed;
-        outcome.error = "inexact critical path: " + mismatch;
+        outcome.error = "inexact critical path: " + checked.mismatch;
         return;
     }
-    outcome.graph = std::move(graph);
+    outcome.graph = std::move(checked.graph);
 }
 
 /** Parse an environment double (locale independent); fatal on junk. */
@@ -58,17 +58,17 @@ envSeconds(const char *name, double fallback)
     return value;
 }
 
-std::uint64_t
-envUint64(const char *name, std::uint64_t fallback,
+/** Parse environment integer @p name in [@p min_value, @p max_value]
+ *  as parseNumber reads it; nullopt when unset, fatal on junk. */
+std::optional<std::uint64_t>
+envNumber(const char *name, std::uint64_t min_value,
           std::uint64_t max_value)
 {
     const char *env = std::getenv(name);
     if (!env || !*env)
-        return fallback;
-    std::uint64_t value = 0;
-    const char *end = env + std::string_view(env).size();
-    auto [ptr, ec] = std::from_chars(env, end, value);
-    if (ec != std::errc() || ptr != end || value > max_value)
+        return std::nullopt;
+    auto value = parseNumber(env, min_value, max_value);
+    if (!value)
         fatal("%s out of range: %s", name, env);
     return value;
 }
@@ -92,10 +92,11 @@ SweepOptions::fromEnvironment()
 {
     SweepOptions options;
     options.timeoutSeconds = envSeconds("SDSP_BENCH_TIMEOUT", 0.0);
-    options.maxCycles = envUint64("SDSP_BENCH_MAX_CYCLES", 0,
-                                  std::uint64_t(-1));
+    options.maxCycles =
+        envNumber("SDSP_BENCH_MAX_CYCLES", 0, kFieldMax<std::uint64_t>)
+            .value_or(0);
     options.retries = static_cast<unsigned>(
-        envUint64("SDSP_BENCH_RETRIES", 0, 100));
+        envNumber("SDSP_BENCH_RETRIES", 0, 100).value_or(0));
     options.retryBackoffSeconds =
         envSeconds("SDSP_BENCH_RETRY_BACKOFF", 0.05);
     options.faults = FaultPlan::fromEnvironment();
@@ -110,14 +111,8 @@ SweepRunner::SweepRunner(unsigned jobs, SweepOptions options)
 unsigned
 SweepRunner::defaultJobs()
 {
-    const char *env = std::getenv("SDSP_BENCH_JOBS");
-    if (env && *env) {
-        char *end = nullptr;
-        long value = std::strtol(env, &end, 10);
-        if (*end || value < 1 || value > 256)
-            fatal("SDSP_BENCH_JOBS out of range: %s", env);
-        return static_cast<unsigned>(value);
-    }
+    if (auto jobs = envNumber("SDSP_BENCH_JOBS", 1, 256))
+        return static_cast<unsigned>(*jobs);
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

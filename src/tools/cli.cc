@@ -136,19 +136,12 @@ printStallTable(std::ostream &out, const Processor &cpu,
     }
 }
 
-/** --critpath: build the DDG, verify exactness, print the critical
- *  path. @return false on an exactness failure (simulator bug). */
-bool
-printCritpath(std::ostream &out, const DdgRecorder &recorder,
-              const MachineConfig &config, const SimResult &sim)
+/** --critpath: print the critical path of the exact @p graph, whose
+ *  baseline relaxation is @p baseline. */
+void
+printCritpath(std::ostream &out, const DdgGraph &graph,
+              const RelaxResult &baseline)
 {
-    DdgGraph graph(recorder.trace(), config, sim.cycles);
-    std::string mismatch = graph.verifyExact();
-    if (!mismatch.empty()) {
-        out << "critpath  : INEXACT — " << mismatch << "\n";
-        return false;
-    }
-    RelaxResult baseline = graph.relax(WhatIf{});
     out << format("critpath  : %llu cycles (exact), %zu nodes, "
                   "%zu edges\n",
                   static_cast<unsigned long long>(baseline.cycles),
@@ -164,7 +157,6 @@ printCritpath(std::ostream &out, const DdgRecorder &recorder,
                                 baseline.cycles)
                           .c_str());
     }
-    return true;
 }
 
 /** --replay: exact replay with stream verification. */
@@ -529,20 +521,25 @@ runCli(const CliOptions &options, std::ostream &out,
                           per_thread, out))
         return 1;
 
-    bool critpath_exact = true;
+    // One graph, built and checked once, for the report and --stats.
+    CheckedGraph critpath;
+    RelaxResult baseline;
     if (ddg && sim.finished) {
-        critpath_exact =
-            printCritpath(out, *ddg, options.config, sim);
+        critpath = buildCheckedGraph(*ddg, options.config, sim.cycles);
+        if (critpath.mismatch.empty()) {
+            baseline = critpath.graph->relax(WhatIf{});
+            printCritpath(out, *critpath.graph, baseline);
+        } else {
+            out << "critpath  : INEXACT — " << critpath.mismatch << "\n";
+        }
     }
+    const bool critpath_exact = critpath.mismatch.empty();
 
     if (options.stats) {
         StatsRegistry registry;
         cpu.reportStats(registry);
-        if (ddg && sim.finished && critpath_exact) {
-            DdgGraph graph(ddg->trace(), options.config, sim.cycles);
-            critpathReportStats(graph, graph.relax(WhatIf{}),
-                                registry);
-        }
+        if (critpath.graph && critpath_exact)
+            critpathReportStats(*critpath.graph, baseline, registry);
         out << "\n" << registry.toString();
         printStallTable(out, cpu, options.config, sim.cycles);
     }

@@ -240,9 +240,10 @@ runCritpathCli(const CritpathCliOptions &options, std::ostream &out)
     std::unique_ptr<DdgGraph> graph = std::move(recording.graph);
     std::string mismatch;
     if (!graph) {
-        graph = std::make_unique<DdgGraph>(recorder.trace(), config,
-                                           measured);
-        mismatch = graph->verifyExact();
+        CheckedGraph checked =
+            buildCheckedGraph(recorder, config, measured);
+        graph = std::move(checked.graph);
+        mismatch = std::move(checked.mismatch);
         committed = recorder.trace().committed();
     }
     RelaxResult baseline = graph->relax(WhatIf{});

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests of the bench suite's definition and drivers. The paper grid
- * that sdsp_bench_all, sdsp_bench_critpath and perfbench all
- * enumerate must stay the grid the checked-in golden artifact
- * records, point for point, because CI's bit-identity gate and
- * perfbench match points by position. The driver tests run the real
+ * that sdsp_bench_all (plain and --record) and perfbench enumerate
+ * must stay the grid the checked-in golden artifact records, point
+ * for point, because CI's bit-identity gate and perfbench match
+ * points by position. The crit_whatif report must fail one gate per
+ * spot check beyond its tolerance. The driver tests run the real
  * binaries (paths baked in via SDSP_*_PATH): experiment selection
- * with --only, rejection of malformed numbers, and the exit status
- * of a failed sdsp-explore gate.
+ * with --only, recorded sweeps, the crit_whatif artifact, rejection
+ * of malformed numbers, and the exit status of a failed sdsp-explore
+ * gate.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +19,8 @@
 #include <sstream>
 #include <string>
 
-#include "bench_util.hh"
 #include "common/json_reader.hh"
+#include "experiments.hh"
 
 namespace sdsp
 {
@@ -72,18 +74,23 @@ runCommand(const std::string &command, std::string *output)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-/** sdsp_bench_all at scale 10 on @p selection, artifact in a
- *  per-test temporary file. */
-int
-runSelection(const std::string &selection, std::string *output)
+/** The current test's sdsp_bench_all artifact. */
+std::string
+artifactPath()
 {
-    std::string out_path =
-        ::testing::TempDir() + "sdsp_bench_suite_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".json";
+    return ::testing::TempDir() + "sdsp_bench_suite_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".json";
+}
+
+/** sdsp_bench_all at scale 10 with @p flags (--only ...), artifact
+ *  at artifactPath(). */
+int
+runSelection(const std::string &flags, std::string *output)
+{
     return runCommand(std::string(SDSP_BENCH_ALL_PATH) +
                           " --scale 10 --jobs 2 --no-checkpoint --out '" +
-                          out_path + "' --only " + selection,
+                          artifactPath() + "' " + flags,
                       output);
 }
 
@@ -102,7 +109,7 @@ TEST(BenchSelection, ListsAblationPoints)
 TEST(BenchSelection, RunsAndPrintsAnAblation)
 {
     std::string output;
-    ASSERT_EQ(runSelection("abl_bypassing", &output), 0) << output;
+    ASSERT_EQ(runSelection("--only abl_bypassing", &output), 0) << output;
     EXPECT_NE(output.find("Ablation: bypassing"), std::string::npos)
         << output;
     EXPECT_NE(output.find("\nmean "), std::string::npos) << output;
@@ -111,7 +118,7 @@ TEST(BenchSelection, RunsAndPrintsAnAblation)
 TEST(BenchSelection, RunsAndPrintsTable4)
 {
     std::string output;
-    ASSERT_EQ(runSelection("tab04_fu_usage", &output), 0) << output;
+    ASSERT_EQ(runSelection("--only tab04_fu_usage", &output), 0) << output;
     EXPECT_NE(output.find(", 11/11 verified"), std::string::npos)
         << output;
     EXPECT_NE(output.find("Table 4: average usage of extra functional"),
@@ -124,7 +131,7 @@ TEST(BenchSelection, RunsAndPrintsTable4)
 TEST(BenchSelection, PrintsATableWithoutSweepPoints)
 {
     std::string output;
-    ASSERT_EQ(runSelection("tab_instruction_mix", &output), 0) << output;
+    ASSERT_EQ(runSelection("--only tab_instruction_mix", &output), 0) << output;
     EXPECT_NE(output.find(", 0/0 verified"), std::string::npos)
         << output;
     EXPECT_NE(output.find("Workload characterization: dynamic "
@@ -133,16 +140,129 @@ TEST(BenchSelection, PrintsATableWithoutSweepPoints)
         << output;
 }
 
+TEST(BenchSelection, RecordsEveryPointExact)
+{
+    std::string output;
+    ASSERT_EQ(runSelection("--record --only abl_bypassing", &output), 0)
+        << output;
+    EXPECT_NE(output.find("\n44/44 recorded points exact\n"),
+              std::string::npos)
+        << output;
+}
+
+TEST(BenchSelection, RecordRefusesToResume)
+{
+    // A restored point was never recorded, so its graph was never
+    // checked.
+    std::string output;
+    EXPECT_EQ(runSelection("--record --only abl_bypassing --resume '" +
+                               artifactPath() + ".checkpoint.jsonl'",
+                           &output),
+              1)
+        << output;
+    EXPECT_NE(output.find("--resume cannot restore recorded points"),
+              std::string::npos)
+        << output;
+}
+
+TEST(BenchSelection, RunsTheCritWhatIfGate)
+{
+    std::string output;
+    ASSERT_EQ(runSelection("--only crit_whatif", &output), 0) << output;
+    std::ifstream file(artifactPath());
+    std::ostringstream text;
+    text << file.rdbuf();
+    std::string error;
+    std::optional<JsonValue> artifact = parseJson(text.str(), &error);
+    ASSERT_TRUE(artifact.has_value()) << error;
+    const JsonValue *reports = artifact->find("reports");
+    ASSERT_NE(reports, nullptr);
+    const JsonValue *crit = reports->find("crit_whatif");
+    ASSERT_NE(crit, nullptr);
+    EXPECT_EQ(crit->find("schema")->asString(), "sdsp-bench-critpath-v1");
+    std::size_t exact = 0;
+    for (const JsonValue &run : crit->find("runs")->items())
+        exact += run.find("exact")->asBool();
+    EXPECT_EQ(exact, 22u);
+    std::size_t passed = 0;
+    for (const JsonValue &check : crit->find("spotChecks")->items())
+        passed += check.find("pass")->asBool();
+    EXPECT_EQ(passed, 3u);
+}
+
+/** A crit_whatif run whose projections all equal their
+ *  re-simulations: @p cycles everywhere. */
+bench::ExperimentRun
+critRun(const bench::Experiment &crit, Cycle cycles)
+{
+    bench::ExperimentRun run;
+    run.scale = 25;
+    for (std::size_t w = 0; w < crit.workloads.size(); ++w) {
+        run.results.emplace_back(crit.variants.size());
+        run.outcomes.emplace_back(crit.variants.size());
+        for (std::size_t v = 0; v < crit.variants.size(); ++v) {
+            run.results[w][v].cycles = cycles;
+            if (!crit.variants[v].record)
+                continue;
+            bench::PointOutcome &point = run.outcomes[w][v];
+            point.baseline.cycles = cycles;
+            point.projections = crit.whatIfs;
+            for (WhatIfProjection &projection : point.projections)
+                projection.result.cycles = cycles;
+        }
+    }
+    return run;
+}
+
+TEST(CritWhatIfReport, FailsOneGatePerSpotCheckBeyondTolerance)
+{
+    const bench::Experiment *crit = nullptr;
+    for (const bench::Experiment &experiment : bench::experiments()) {
+        if (experiment.id == "crit_whatif")
+            crit = &experiment;
+    }
+    ASSERT_NE(crit, nullptr);
+    bench::ExperimentRun run = critRun(*crit, 1000);
+    EXPECT_TRUE(crit->report(*crit, run).failures.empty());
+
+    // LL5's issueWidth=16 machine re-simulates 10% slower than
+    // projected; the tolerance at scale 25 is 5%.
+    std::size_t ll5 = 0, spot = 0;
+    while (ll5 < crit->workloads.size() &&
+           crit->workloads[ll5]->name() != "LL5")
+        ++ll5;
+    while (spot < crit->variants.size() &&
+           crit->variants[spot].name != "issueWidth=16")
+        ++spot;
+    ASSERT_LT(ll5, crit->workloads.size());
+    ASSERT_LT(spot, crit->variants.size());
+    run.results[ll5][spot].cycles = 1100;
+    bench::ReportOutput output = crit->report(*crit, run);
+    ASSERT_EQ(output.failures.size(), 1u);
+    EXPECT_NE(output.failures[0].find("LL5 t=4 issueWidth=16"),
+              std::string::npos)
+        << output.failures[0];
+    EXPECT_NE(output.json.find("\"spot_check_failures\":1"),
+              std::string::npos);
+}
+
 TEST(BenchDrivers, RejectNumbersWithTrailingGarbage)
 {
     for (std::string command :
-         {std::string(SDSP_BENCH_CRITPATH_PATH) + " --scale 10x",
+         {std::string(SDSP_BENCH_ALL_PATH) + " --list --scale 10x",
           std::string(SDSP_BENCH_ALL_PATH) + " --list --jobs 2x"}) {
         std::string output;
         EXPECT_EQ(runCommand(command, &output), 1) << command;
         EXPECT_NE(output.find("bad --"), std::string::npos)
             << command << ": " << output;
     }
+    // The driver reads integers as every tool does: 0x10 is 16.
+    std::string output;
+    EXPECT_EQ(runCommand(std::string(SDSP_BENCH_ALL_PATH) +
+                             " --list --scale 0x10 --only abl_bypassing",
+                         &output),
+              0)
+        << output;
 }
 
 TEST(BenchDrivers, ExploreExitsNonZeroOnAFailedGate)
