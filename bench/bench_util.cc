@@ -38,18 +38,6 @@ paperConfig(unsigned threads)
     return cfg;
 }
 
-std::vector<const Workload *>
-groupI()
-{
-    return workloadsInGroup(BenchmarkGroup::LivermoreLoops);
-}
-
-std::vector<const Workload *>
-groupII()
-{
-    return workloadsInGroup(BenchmarkGroup::GroupII);
-}
-
 namespace
 {
 

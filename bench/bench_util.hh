@@ -37,12 +37,6 @@ unsigned benchScale();
 /** The paper's default machine (Table 2) for @p threads threads. */
 MachineConfig paperConfig(unsigned threads = 4);
 
-/** Group I (Livermore loops). */
-std::vector<const Workload *> groupI();
-
-/** Group II (Laplace, MPD, Matrix, Sieve, Water). */
-std::vector<const Workload *> groupII();
-
 /** Print the experiment banner for problem scale @p scale (also
  *  names any CSV exports). */
 void printHeader(const std::string &experiment_id,
@@ -83,6 +77,11 @@ struct PaperGridPoint
     const Workload *workload = nullptr;
     MachineConfig config;
     std::vector<std::string> experiments;
+    /** "<experiment>/<variant>" of the first experiment that submitted
+     *  the point. It names the point in sdsp_bench_all's --list, FAIL
+     *  and IPC-bound lines, and as its sweep label it makes the fault
+     *  id "<benchmark>/<experiment>/<variant>". */
+    std::string name;
     /** Some experiment needs the point recorded. */
     bool record = false;
 };

@@ -1182,7 +1182,8 @@ class GridBuilder
                 // per (benchmark, threads, scale).
                 if (inserted) {
                     grid_.points.push_back(
-                        {&cachedWorkload(*workload), variant.config, {}});
+                        {&cachedWorkload(*workload), variant.config, {},
+                         experiment.id + "/" + variant.name});
                 }
                 PaperGridPoint &point = grid_.points[it->second];
                 point.record |= variant.record;

@@ -59,14 +59,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "analysis/cfg.hh"
@@ -261,12 +258,10 @@ main(int argc, char **argv)
             filter = strArg("--only");
         } else if (arg == "--timeout") {
             const char *text = strArg("--timeout");
-            const char *end = text + std::strlen(text);
-            double value = 0.0;
-            auto [ptr, ec] = std::from_chars(text, end, value);
-            if (ec != std::errc() || ptr != end || value < 0.0)
+            auto seconds = parseSeconds(text);
+            if (!seconds)
                 fatal("bad --timeout value: %s", text);
-            options.timeoutSeconds = value;
+            options.timeoutSeconds = *seconds;
         } else if (arg == "--max-cycles") {
             options.maxCycles =
                 intArg("--max-cycles", 0, kFieldMax<std::uint64_t>);
@@ -302,7 +297,7 @@ main(int argc, char **argv)
                 tags += (tags.empty() ? "" : ",") + experiment;
             std::printf("%-10s %-14s %s\n",
                         point.workload->name().c_str(), tags.c_str(),
-                        point.config.toString().c_str());
+                        point.name.c_str());
         }
         std::printf("%zu grid points (%zu before deduplication)\n",
                     points.size(), suite.submitted);
@@ -398,7 +393,7 @@ main(int argc, char **argv)
         job.workload = points[i].workload;
         job.config = points[i].config;
         job.scale = scale;
-        job.label = points[i].experiments.front();
+        job.label = points[i].name;
         job.skip = restored[i] != nullptr;
         job.record = record_all || points[i].record;
         grid_jobs.push_back(std::move(job));
@@ -427,19 +422,27 @@ main(int argc, char **argv)
 
     // As each point completes, persist it (so a crash loses at most
     // the in-flight points), reduce its graph to what the reports
-    // read, and surface failures immediately.
+    // read, and surface failures immediately. A point's serial cost is
+    // its run, its graph build and its reduction.
     std::vector<PointOutcome> point_outcomes(points.size());
+    std::vector<double> point_seconds(points.size(), 0.0);
     auto on_complete = [&](std::size_t index, JobOutcome &outcome) {
         if (outcome.status == JobStatus::Skipped)
             return;
         if (checkpoint)
             checkpoint->record(grid_jobs[index], outcome);
+        auto reduce_start = std::chrono::steady_clock::now();
         point_outcomes[index] = reduceOutcome(outcome, what_ifs[index]);
+        point_seconds[index] =
+            outcome.result.wallSeconds + outcome.graphSeconds +
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - reduce_start)
+                .count();
         if (!outcome.ok()) {
-            std::fprintf(stderr, "FAIL [%s] %s (%s): %s\n",
+            std::fprintf(stderr, "FAIL [%s] %s/%s: %s\n",
                          jobStatusName(outcome.status),
-                         grid_jobs[index].workload->name().c_str(),
-                         grid_jobs[index].config.toString().c_str(),
+                         points[index].workload->name().c_str(),
+                         points[index].name.c_str(),
                          outcome.error.c_str());
         }
     };
@@ -457,7 +460,7 @@ main(int argc, char **argv)
     std::size_t bound_violations = 0;
     std::size_t recorded = 0;
     std::size_t recorded_exact = 0;
-    double sim_seconds = 0.0;
+    double serial_seconds = 0.0;
     double sim_loop_seconds = 0.0;
     std::uint64_t sim_cycles = 0;
     std::uint64_t sim_insts = 0;
@@ -476,11 +479,11 @@ main(int argc, char **argv)
             return;
         ++bound_violations;
         std::fprintf(stderr,
-                     "IPC BOUND VIOLATION: %s (%s): committed %llu "
+                     "IPC BOUND VIOLATION: %s/%s: committed %llu "
                      "in %llu cycles (ipc %.4f) exceeds static bound "
                      "%.4f\n",
                      points[i].workload->name().c_str(),
-                     points[i].config.toString().c_str(),
+                     points[i].name.c_str(),
                      static_cast<unsigned long long>(committed),
                      static_cast<unsigned long long>(cycles),
                      static_cast<double>(committed) /
@@ -497,7 +500,7 @@ main(int argc, char **argv)
             continue;
         }
         const RunResult &result = outcomes[i].result;
-        sim_seconds += result.wallSeconds;
+        serial_seconds += point_seconds[i];
         sim_loop_seconds += result.simSeconds;
         sim_cycles += result.cycles;
         sim_insts += result.committed;
@@ -539,7 +542,7 @@ main(int argc, char **argv)
     writer.field("ipc_bound_violations",
                  std::uint64_t{bound_violations});
     writer.field("wall_seconds", elapsed);
-    writer.field("serial_seconds", sim_seconds);
+    writer.field("serial_seconds", serial_seconds);
     writer.field("sim_cycles_total", sim_cycles);
     writer.field("sim_insts_total", sim_insts);
     writer.field("sim_cycles_per_second",
@@ -600,10 +603,10 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
             if (restored[i] || outcomes[i].ok())
                 continue;
-            std::fprintf(stderr, "  [%s] %s (%s): %s\n",
+            std::fprintf(stderr, "  [%s] %s/%s: %s\n",
                          jobStatusName(outcomes[i].status),
                          points[i].workload->name().c_str(),
-                         points[i].config.toString().c_str(),
+                         points[i].name.c_str(),
                          outcomes[i].error.c_str());
         }
         if (checkpoint && checkpoint->ok()) {
@@ -632,8 +635,8 @@ main(int argc, char **argv)
     std::printf("wall %.2fs, serial-equivalent %.2fs (%.1fx), "
                 "%zu/%zu verified (%zu restored from checkpoint), "
                 "%zu IPC-bound violations\n",
-                elapsed, sim_seconds,
-                elapsed > 0 ? sim_seconds / elapsed : 0.0,
+                elapsed, serial_seconds,
+                elapsed > 0 ? serial_seconds / elapsed : 0.0,
                 outcomes.size() - failures, outcomes.size(),
                 restored_count, bound_violations);
     std::printf("(json written to %s)\n", out_path.c_str());

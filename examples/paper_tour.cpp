@@ -140,6 +140,6 @@ main(int argc, char **argv)
     }
 
     std::printf("\ntour complete; the full suite is "
-                "`for b in build/bench/*; do $b; done`\n");
+                "`./build/bench/sdsp_bench_all`\n");
     return 0;
 }

@@ -580,8 +580,8 @@ struct CheckedGraph
 /**
  * Build the graph of @p recorder's finished run on @p config, which
  * took @p measured_cycles, and check it exact. The one build of a
- * recording: recorded sweep jobs, sdsp-run --critpath and
- * sdsp-critpath all call it.
+ * recording: recorded sweep jobs, sdsp-run --critpath and the fuzzer's
+ * differential check all call it.
  */
 CheckedGraph buildCheckedGraph(const DdgRecorder &recorder,
                                const MachineConfig &config,

@@ -1,7 +1,7 @@
 /**
  * @file
  * Reporting for the critical-path engine: StatsRegistry export and
- * the sdsp-critpath / bench JSON artifact schema
+ * the JSON artifact schema of sdsp-run --critpath-json and the bench
  * ("sdsp-critpath-v1").
  */
 

@@ -1,6 +1,7 @@
 #include "fuzz/differential.hh"
 
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "analysis/cfg.hh"
@@ -243,8 +244,10 @@ runDifferential(const Program &program, const MachineConfig &config,
     }
 
     // ---- Timing models recorded from the same run ----
-    DdgGraph graph(ddg.trace(), run_config, result.sim.cycles);
-    std::string inexact = graph.verifyExact();
+    CheckedGraph checked =
+        buildCheckedGraph(ddg, run_config, result.sim.cycles);
+    const DdgGraph &graph = *checked.graph;
+    std::string inexact = std::move(checked.mismatch);
     if (inexact.empty()) {
         RelaxResult baseline = graph.relax(WhatIf{});
         if (baseline.cycles != result.sim.cycles ||

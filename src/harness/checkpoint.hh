@@ -18,7 +18,7 @@
  *
  * Line schema (v1):
  *     {"v":1,"suite":"...","scale":25,"benchmark":"LL1",
- *      "label":"fig05","config_key":"{...}","status":"ok",
+ *      "label":"fig05/4T","config_key":"{...}","status":"ok",
  *      "attempts":1,"error":"","result":{...}}
  */
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -43,19 +42,18 @@ attachGraph(const DdgRecorder &recorder, const MachineConfig &config,
     outcome.graph = std::move(checked.graph);
 }
 
-/** Parse an environment double (locale independent); fatal on junk. */
+/** Environment seconds @p name as parseSeconds reads them; fatal on
+ *  junk. */
 double
 envSeconds(const char *name, double fallback)
 {
     const char *env = std::getenv(name);
     if (!env || !*env)
         return fallback;
-    double value = 0.0;
-    const char *end = env + std::string_view(env).size();
-    auto [ptr, ec] = std::from_chars(env, end, value);
-    if (ec != std::errc() || ptr != end || value < 0.0)
+    auto value = parseSeconds(env);
+    if (!value)
         fatal("%s out of range: %s", name, env);
-    return value;
+    return *value;
 }
 
 /** Parse environment integer @p name in [@p min_value, @p max_value]
@@ -192,8 +190,11 @@ SweepRunner::executeJob(const SweepJob &job) const
             outcome.result.config = job.config;
             return outcome;
         }
-        double backoff = options_.retryBackoffSeconds *
-                         static_cast<double>(1u << attempt);
+        // Doubling per retry, but no longer than any other budget.
+        double backoff =
+            std::min(std::ldexp(options_.retryBackoffSeconds,
+                                static_cast<int>(attempt)),
+                     kMaxSeconds);
         if (backoff > 0.0) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(backoff));

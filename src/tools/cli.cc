@@ -1,12 +1,15 @@
 #include "tools/cli.hh"
 
-#include <charconv>
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "asm/assembler.hh"
 #include "asm/rewrite.hh"
@@ -25,17 +28,16 @@ namespace sdsp
 namespace
 {
 
-std::optional<double>
-parseSeconds(const std::string &text)
+/** Open @p path for writing into @p file; false after reporting a
+ *  path that cannot be opened. */
+bool
+openOutput(std::ofstream &file, const std::string &path,
+           std::ostream &out)
 {
-    // from_chars, not strtod: '.' regardless of the process locale.
-    double value = 0.0;
-    const char *begin = text.c_str();
-    const char *end = begin + text.size();
-    auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc() || ptr != end || value < 0.0)
-        return std::nullopt;
-    return value;
+    file.open(path);
+    if (!file)
+        out << "sdsp-run: cannot open " << path << "\n";
+    return static_cast<bool>(file);
 }
 
 void
@@ -77,11 +79,9 @@ writeSummaryJson(const std::string &path, const MachineConfig &config,
     writer.endArray();
     writer.endObject();
 
-    std::ofstream file(path);
-    if (!file) {
-        out << "sdsp-run: cannot open " << path << "\n";
+    std::ofstream file;
+    if (!openOutput(file, path, out))
         return false;
-    }
     file << writer.str() << "\n";
     return true;
 }
@@ -136,32 +136,206 @@ printStallTable(std::ostream &out, const Processor &cpu,
     }
 }
 
-/** --critpath: print the critical path of the exact @p graph, whose
- *  baseline relaxation is @p baseline. */
-void
-printCritpath(std::ostream &out, const DdgGraph &graph,
-              const RelaxResult &baseline)
+/**
+ * Every sink the options ask for, behind one tee: the processor, or
+ * replayExact(), sees a single TraceSink*, and nullptr keeps tracing
+ * zero-cost. The files are declared first, so they outlive the sinks
+ * that write them.
+ */
+class RunSinks
 {
-    out << format("critpath  : %llu cycles (exact), %zu nodes, "
-                  "%zu edges\n",
-                  static_cast<unsigned long long>(baseline.cycles),
-                  graph.nodeCount(), graph.edgeCount());
-    for (unsigned c = 0; c < kNumEdgeClasses; ++c) {
-        if (!baseline.breakdown[c])
+  public:
+    RunSinks() = default;
+    // The tee holds the sinks' addresses, and a run holds the tee's.
+    RunSinks(const RunSinks &) = delete;
+    RunSinks &operator=(const RunSinks &) = delete;
+
+    /**
+     * Open the sinks of @p options for a run on @p config named
+     * @p name. @p program is the one --record embeds (null for an
+     * exact replay, which refuses --record). @return false after
+     * reporting a path that cannot be opened.
+     */
+    bool
+    open(const CliOptions &options, const MachineConfig &config,
+         const Program *program, const std::string &name,
+         std::ostream &trace_out, std::ostream &out)
+    {
+        if (options.trace)
+            attach(stream_ = std::make_unique<TextTraceSink>(trace_out));
+        if (!options.traceFile.empty()) {
+            if (!openOutput(textFile_, options.traceFile, out))
+                return false;
+            attach(text_ = std::make_unique<TextTraceSink>(textFile_));
+        }
+        if (!options.traceJson.empty()) {
+            if (!openOutput(jsonFile_, options.traceJson, out))
+                return false;
+            attach(json_ = std::make_unique<JsonTraceSink>(jsonFile_));
+        }
+        if (!options.recordPath.empty()) {
+            if (!openOutput(recordFile_, options.recordPath, out))
+                return false;
+            attach(recorder_ = std::make_unique<TraceRecorder>(
+                       recordFile_, *program, config, name));
+        }
+        if (options.critpath)
+            attach(ddg_ = std::make_unique<DdgRecorder>());
+        return true;
+    }
+
+    /** The tee; nullptr when no sink is attached. */
+    TraceSink *sink() { return attached_ ? &tee_ : nullptr; }
+
+    /** Note @p sim's totals in the recording and finish every sink. */
+    void
+    finish(const SimResult &sim)
+    {
+        if (recorder_)
+            recorder_->noteResult(sim);
+        tee_.finish();
+    }
+
+    /** The --critpath recording; null without --critpath. */
+    const DdgRecorder *ddg() const { return ddg_.get(); }
+
+  private:
+    template <typename Sink>
+    void
+    attach(const std::unique_ptr<Sink> &sink)
+    {
+        tee_.add(sink.get());
+        attached_ = true;
+    }
+
+    std::ofstream textFile_, jsonFile_, recordFile_;
+    std::unique_ptr<TextTraceSink> stream_, text_;
+    std::unique_ptr<JsonTraceSink> json_;
+    std::unique_ptr<TraceRecorder> recorder_;
+    std::unique_ptr<DdgRecorder> ddg_;
+    TeeTraceSink tee_;
+    bool attached_ = false;
+};
+
+double
+millisecondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/** The critical path's per-class breakdown, longest first, with the
+ *  edges of each class. */
+void
+printBreakdown(std::ostream &out, const RelaxResult &result)
+{
+    std::array<unsigned, kNumEdgeClasses> order;
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](unsigned a, unsigned b) {
+                         return result.breakdown[a] > result.breakdown[b];
+                     });
+    for (unsigned c : order) {
+        if (!result.breakdown[c] && !result.edgeCounts[c])
             continue;
-        out << format("  %-16s %10llu  %7s\n",
+        out << format("  %-16s %10llu  %7s  (%llu edges)\n",
                       edgeClassName(static_cast<EdgeClass>(c)),
                       static_cast<unsigned long long>(
-                          baseline.breakdown[c]),
-                      percentOf(baseline.breakdown[c],
-                                baseline.cycles)
-                          .c_str());
+                          result.breakdown[c]),
+                      percentOf(result.breakdown[c], result.cycles)
+                          .c_str(),
+                      static_cast<unsigned long long>(
+                          result.edgeCounts[c]));
     }
+}
+
+/** --slack: each class's stored edges and their slack above the
+ *  binding constraint. */
+void
+printSlack(std::ostream &out, const DdgGraph &graph)
+{
+    std::array<Distribution, kNumEdgeClasses> slack;
+    graph.slackHistograms(slack);
+    out << "slack (cycles above the binding constraint):\n";
+    for (unsigned c = 0; c < kNumEdgeClasses; ++c) {
+        if (slack[c].count() == 0)
+            continue;
+        out << format("  %-16s %10llu edges  mean %8.2f  max %llu\n",
+                      edgeClassName(static_cast<EdgeClass>(c)),
+                      static_cast<unsigned long long>(slack[c].count()),
+                      slack[c].mean(),
+                      static_cast<unsigned long long>(slack[c].max()));
+    }
+}
+
+/**
+ * --critpath: build the graph of the finished run that @p ddg
+ * recorded on @p config in @p measured cycles, check it exact, and
+ * print the run's critpath block: the critical path and its
+ * breakdown, the slack table under --slack and one line per
+ * --what-if. Then write --critpath-json, naming the run @p name, and
+ * add the critpath.* statistics to @p registry when given.
+ * @return false when the graph is inexact or the JSON cannot be
+ *         written.
+ */
+bool
+reportCritpath(const CliOptions &options, const DdgRecorder &ddg,
+               const MachineConfig &config, Cycle measured,
+               const std::string &name, std::ostream &out,
+               StatsRegistry *registry)
+{
+    auto build_start = std::chrono::steady_clock::now();
+    CheckedGraph checked = buildCheckedGraph(ddg, config, measured);
+    if (!checked.mismatch.empty()) {
+        out << "critpath  : INEXACT — " << checked.mismatch << "\n";
+        return false;
+    }
+    const DdgGraph &graph = *checked.graph;
+    const RelaxResult baseline = graph.relax(WhatIf{});
+    out << format("critpath  : %llu cycles (exact), %zu nodes, %zu "
+                  "edges (built+relaxed in %.1f ms)\n",
+                  static_cast<unsigned long long>(baseline.cycles),
+                  graph.nodeCount(), graph.edgeCount(),
+                  millisecondsSince(build_start));
+    printBreakdown(out, baseline);
+    if (options.slack)
+        printSlack(out, graph);
+
+    std::vector<WhatIfProjection> projections;
+    for (const WhatIf &what_if : options.whatIfs) {
+        WhatIfProjection &projection = projections.emplace_back();
+        projection.whatIf = what_if;
+        projection.name = what_if.describe(config);
+        auto relax_start = std::chrono::steady_clock::now();
+        projection.result = graph.relax(what_if);
+        const Cycle cycles = projection.result.cycles;
+        out << format("what-if %-32s : %llu cycles (%.3fx, %.1f ms) "
+                      "[%s]\n",
+                      projection.name.c_str(),
+                      static_cast<unsigned long long>(cycles),
+                      cycles ? static_cast<double>(measured) /
+                                   static_cast<double>(cycles)
+                             : 0.0,
+                      millisecondsSince(relax_start),
+                      confidenceName(projection.result.confidence));
+    }
+
+    if (registry)
+        critpathReportStats(graph, baseline, *registry);
+    if (options.critpathJson.empty())
+        return true;
+    std::ofstream json;
+    if (!openOutput(json, options.critpathJson, out))
+        return false;
+    json << critpathJson(name, graph, baseline, projections) << "\n";
+    return true;
 }
 
 /** --replay: exact replay with stream verification. */
 int
-runReplayExact(const CliOptions &options, std::ostream &out)
+runReplayExact(const CliOptions &options, std::ostream &out,
+               std::ostream &trace_out)
 {
     TraceReadResult loaded = readTraceFile(options.replayPath);
     if (!loaded.ok) {
@@ -170,12 +344,21 @@ runReplayExact(const CliOptions &options, std::ostream &out)
         return 1;
     }
     const RecordedTrace &trace = loaded.trace;
+    if (options.disasmOnly) {
+        out << disassemble(trace.toProgram());
+        return 0;
+    }
 
     MachineConfig config = options.config;
     config.numThreads = trace.threads;
     config.finalize();
 
-    ExactReplayResult replay = replayExact(trace, config);
+    // replayExact() finishes the tee with its own sinks.
+    RunSinks sinks;
+    if (!sinks.open(options, config, nullptr, options.replayPath,
+                    trace_out, out))
+        return 1;
+    ExactReplayResult replay = replayExact(trace, config, sinks.sink());
 
     std::vector<std::uint64_t> per_thread;
     for (const auto &stream : trace.perThread)
@@ -198,15 +381,82 @@ runReplayExact(const CliOptions &options, std::ostream &out)
         !writeSummaryJson(options.summaryJson, config, replay.sim,
                           per_thread, out))
         return 1;
-
     if (!replay.sim.finished)
         return 2;
-    return replay.verified ? 0 : 1;
+    const bool exact =
+        !sinks.ddg() ||
+        reportCritpath(options, *sinks.ddg(), config, replay.sim.cycles,
+                       options.replayPath, out, nullptr);
+    return replay.verified && exact ? 0 : 1;
 }
 
-/** --replay-stream: a trace cocktail, one stream per hw thread. */
-int
-runReplayStream(const CliOptions &options, std::ostream &out)
+/** What a program run executes, and what checks it afterwards. */
+struct ProgramRun
+{
+    MachineConfig config;
+    Program program;
+    /** Names the run in its recording and its critpath report. */
+    std::string name;
+    /** --workload: checks the final memory against the C++
+     *  reference. */
+    std::function<VerifyResult(const MainMemory &)> verify;
+    /** --replay-stream: each flattened stream's length, which its
+     *  thread must commit, and the recorded effective addresses. */
+    std::vector<std::uint64_t> streamLengths;
+    ReplayAddressSource addresses;
+};
+
+/** A program file's program; false after reporting why it cannot
+ *  run. */
+bool
+assembleFile(const CliOptions &options, ProgramRun &run,
+             std::ostream &out)
+{
+    std::ifstream file(options.programPath);
+    if (!file) {
+        out << "sdsp-run: cannot open " << options.programPath << "\n";
+        return false;
+    }
+    std::ostringstream source;
+    source << file.rdbuf();
+    AssemblyResult assembly = assemble(source.str());
+
+    unsigned budget = run.config.regsPerThread();
+    if (!options.disasmOnly && assembly.maxRegisterUsed >= budget) {
+        out << "sdsp-run: program uses r" << assembly.maxRegisterUsed
+            << " but " << run.config.numThreads
+            << " thread(s) allow only r0..r" << budget - 1 << "\n";
+        return false;
+    }
+    run.program = std::move(assembly.program);
+    run.name = options.programPath;
+    return true;
+}
+
+/** --workload: the benchmark's image for the run's thread count. */
+bool
+buildWorkload(const CliOptions &options, ProgramRun &run,
+              std::ostream &out)
+{
+    const Workload *workload = findWorkload(options.workload);
+    if (!workload) {
+        out << "sdsp-run: no benchmark named '" << options.workload
+            << "' (see --list)\n";
+        return false;
+    }
+    WorkloadImage image =
+        workload->build(run.config.numThreads, options.scale);
+    run.program = std::move(image.program);
+    run.verify = std::move(image.verify);
+    run.name = workload->name();
+    return true;
+}
+
+/** --replay-stream: a trace cocktail flattened into one program, one
+ *  stream per hw thread. */
+bool
+buildStreams(const CliOptions &options, ProgramRun &run,
+             std::ostream &out)
 {
     // Parse the comma list of TRACE[:tid] items.
     std::vector<std::string> items;
@@ -216,7 +466,7 @@ runReplayStream(const CliOptions &options, std::ostream &out)
         items.push_back(item);
     if (items.empty() || items.size() > 16) {
         out << "sdsp-run: --replay-stream needs 1..16 items\n";
-        return 1;
+        return false;
     }
 
     std::vector<std::unique_ptr<RecordedTrace>> traces;
@@ -237,12 +487,12 @@ runReplayStream(const CliOptions &options, std::ostream &out)
         if (!loaded.ok) {
             out << "sdsp-run: " << path << ": "
                 << loaded.error.toString() << "\n";
-            return 1;
+            return false;
         }
         if (tid >= loaded.trace.threads) {
             out << "sdsp-run: " << spec << ": trace has only "
                 << loaded.trace.threads << " thread(s)\n";
-            return 1;
+            return false;
         }
         traces.push_back(
             std::make_unique<RecordedTrace>(std::move(loaded.trace)));
@@ -250,45 +500,98 @@ runReplayStream(const CliOptions &options, std::ostream &out)
             {traces.back().get(), static_cast<ThreadId>(tid)});
     }
 
-    MachineConfig config = options.config;
-    config.numThreads = static_cast<unsigned>(sources.size());
-    config.finalize();
+    run.config.numThreads = static_cast<unsigned>(sources.size());
+    run.config.finalize();
 
     StreamReplayOptions stream_options;
-    stream_options.blockSize = config.blockSize;
+    stream_options.blockSize = run.config.blockSize;
     StreamReplay replay;
     std::string error;
-    if (!buildStreamReplay(sources, config.regsPerThread(),
+    if (!buildStreamReplay(sources, run.config.regsPerThread(),
                            stream_options, replay, &error)) {
         out << "sdsp-run: " << error << "\n";
-        return 1;
+        return false;
     }
+    run.program = std::move(replay.program);
+    run.addresses = std::move(replay.addresses);
+    run.streamLengths = std::move(replay.streamLengths);
+    run.name = options.replayStream;
+    return true;
+}
 
-    Processor cpu(config, replay.program);
-    cpu.setReplayAddresses(&replay.addresses);
-    SimResult sim = cpu.run();
+/** Run @p run's program with the options' sinks attached, then check
+ *  and report it. */
+int
+runProgram(const CliOptions &options, const ProgramRun &run,
+           std::ostream &out, std::ostream &trace_out)
+{
+    const MachineConfig &config = run.config;
+    RunSinks sinks;
+    if (!sinks.open(options, config, &run.program, run.name, trace_out,
+                    out))
+        return 1;
+
+    Processor cpu(config, run.program);
+    if (!run.streamLengths.empty())
+        cpu.setReplayAddresses(&run.addresses);
+    cpu.setTraceSink(sinks.sink());
+    std::optional<Processor::Deadline> deadline;
+    if (options.timeoutSeconds > 0.0) {
+        deadline =
+            std::chrono::steady_clock::now() +
+            std::chrono::duration_cast<
+                std::chrono::steady_clock::duration>(
+                std::chrono::duration<double>(options.timeoutSeconds));
+    }
+    SimResult sim = cpu.run(deadline);
+    sinks.finish(sim);
 
     std::vector<std::uint64_t> per_thread =
         perThreadCommitted(cpu, config.numThreads);
     printRunSummary(out, config, sim, per_thread);
-    for (std::size_t t = 0; t < replay.streamLengths.size(); ++t) {
-        if (per_thread[t] != replay.streamLengths[t]) {
+    bool failed = false;
+    if (run.verify && sim.finished) {
+        VerifyResult verdict = run.verify(cpu.memory());
+        out << "verified  : "
+            << (verdict.ok ? "yes" : "NO (" + verdict.message + ")")
+            << "\n";
+        failed = !verdict.ok;
+    }
+    for (std::size_t t = 0; t < run.streamLengths.size(); ++t) {
+        if (per_thread[t] != run.streamLengths[t]) {
             out << format("sdsp-run: thread %zu committed %llu but "
                           "its stream holds %llu\n",
                           t,
                           static_cast<unsigned long long>(
                               per_thread[t]),
                           static_cast<unsigned long long>(
-                              replay.streamLengths[t]));
-            return 1;
+                              run.streamLengths[t]));
+            failed = true;
         }
     }
-
     if (!options.summaryJson.empty() &&
-        !writeSummaryJson(options.summaryJson, config, sim,
-                          per_thread, out))
+        !writeSummaryJson(options.summaryJson, config, sim, per_thread,
+                          out))
         return 1;
-    return sim.finished ? 0 : 2;
+
+    // One graph, built and checked once, for the report and --stats.
+    StatsRegistry registry;
+    if (options.stats)
+        cpu.reportStats(registry);
+    if (sinks.ddg() && sim.finished &&
+        !reportCritpath(options, *sinks.ddg(), config, sim.cycles,
+                        run.name, out,
+                        options.stats ? &registry : nullptr))
+        failed = true;
+    if (options.stats) {
+        out << "\n" << registry.toString();
+        printStallTable(out, cpu, config, sim.cycles);
+    }
+    if (failed)
+        return 1;
+    if (sim.finished)
+        return 0;
+    return sim.timedOut ? 3 : 2;
 }
 
 } // namespace
@@ -296,8 +599,15 @@ runReplayStream(const CliOptions &options, std::ostream &out)
 std::string
 cliUsage()
 {
-    return "usage: sdsp-run [options] program.s\n" + machineFlagUsage() +
+    return "usage: sdsp-run [options] (program.s | --workload NAME |\n"
+           "                --replay FILE | --replay-stream LIST)\n" +
+           machineFlagUsage() +
            "  --timeout SECS       wall-clock budget (exit code 3)\n"
+           "  --workload NAME      run a built-in benchmark, verified\n"
+           "                       against its C++ reference\n"
+           "  --scale N            workload problem scale percent\n"
+           "                       (default 100)\n"
+           "  --list               list the built-in benchmarks\n"
            "  --align              section-6.1 code layout pass\n"
            "  --trace              per-cycle event trace\n"
            "  --trace-file PATH    write the text trace to PATH\n"
@@ -307,6 +617,15 @@ cliUsage()
            "                       with percent-of-total columns)\n"
            "  --critpath           dependence-graph critical-path\n"
            "                       breakdown (verified exact)\n"
+           "  --what-if LIST       project KEY=VAL[,KEY=VAL...]; may\n"
+           "                       repeat (one projection each). Keys:\n"
+           "                       issueWidth, suEntries,\n"
+           "                       perfectDCache, infiniteStoreBuffer,\n"
+           "                       bypassing, fuLat.<class>\n"
+           "  --slack              print the per-class slack summary\n"
+           "  --critpath-json PATH write the sdsp-critpath-v1 report\n"
+           "                       (--what-if, --slack and\n"
+           "                       --critpath-json imply --critpath)\n"
            "  --disasm             print disassembly and exit\n"
            "  --record PATH        record the committed stream as a\n"
            "                       replayable trace\n"
@@ -328,6 +647,12 @@ parseCliOptions(const std::vector<std::string> &args)
         return options;
     };
 
+    // What a source may refuse by name: -t and --scale leave no
+    // trace in the options, and --critpath has four spellings.
+    bool threads_given = false;
+    bool scale_given = false;
+    std::string critpath_flag;
+
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         auto next_value = [&]() -> std::optional<std::string> {
@@ -335,14 +660,22 @@ parseCliOptions(const std::vector<std::string> &args)
                 return std::nullopt;
             return args[++i];
         };
+        auto want_critpath = [&] {
+            options.critpath = true;
+            if (critpath_flag.empty())
+                critpath_flag = arg;
+        };
 
+        threads_given |= arg == "-t";
         if (auto error = parseMachineFlag(args, i, options.config)) {
             if (!error->empty())
                 return fail(*error);
         } else if (arg == "--timeout" || arg == "--trace-file" ||
                    arg == "--trace-json" || arg == "--record" ||
                    arg == "--replay" || arg == "--replay-stream" ||
-                   arg == "--summary-json") {
+                   arg == "--summary-json" || arg == "--workload" ||
+                   arg == "--scale" || arg == "--what-if" ||
+                   arg == "--critpath-json") {
             auto value = next_value();
             if (!value)
                 return fail(arg + " needs a value");
@@ -362,8 +695,26 @@ parseCliOptions(const std::vector<std::string> &args)
                 options.replayPath = *value;
             } else if (arg == "--replay-stream") {
                 options.replayStream = *value;
-            } else { // --summary-json
+            } else if (arg == "--summary-json") {
                 options.summaryJson = *value;
+            } else if (arg == "--workload") {
+                options.workload = *value;
+            } else if (arg == "--scale") {
+                auto n = parseNumber(*value, 1, 1000);
+                if (!n)
+                    return fail("bad scale: " + *value);
+                options.scale = static_cast<unsigned>(*n);
+                scale_given = true;
+            } else if (arg == "--what-if") {
+                WhatIf what_if;
+                std::string error;
+                if (!what_if.applyKeyValues(*value, &error))
+                    return fail("--what-if " + *value + ": " + error);
+                options.whatIfs.push_back(what_if);
+                want_critpath();
+            } else { // --critpath-json
+                options.critpathJson = *value;
+                want_critpath();
             }
         } else if (arg == "--align") {
             options.align = true;
@@ -372,7 +723,12 @@ parseCliOptions(const std::vector<std::string> &args)
         } else if (arg == "--stats") {
             options.stats = true;
         } else if (arg == "--critpath") {
-            options.critpath = true;
+            want_critpath();
+        } else if (arg == "--slack") {
+            options.slack = true;
+            want_critpath();
+        } else if (arg == "--list") {
+            options.list = true;
         } else if (arg == "--disasm") {
             options.disasmOnly = true;
         } else if (!arg.empty() && arg[0] == '-') {
@@ -383,21 +739,43 @@ parseCliOptions(const std::vector<std::string> &args)
             return fail("multiple program files given");
         }
     }
-
-    bool replay_mode = !options.replayPath.empty() ||
-                       !options.replayStream.empty();
-    if (!options.replayPath.empty() && !options.replayStream.empty())
-        return fail("--replay and --replay-stream are exclusive");
-    if (replay_mode && !options.programPath.empty())
-        return fail("replay modes take a trace, not a program file");
-    if (replay_mode && !options.recordPath.empty())
-        return fail("--record needs a program run, not a replay");
-    if (replay_mode && options.critpath)
-        return fail("--critpath needs a program run (use "
-                    "sdsp-critpath --trace for recordings)");
-    if (options.programPath.empty() && !replay_mode)
-        return fail("no program file given");
     options.config.finalize();
+    if (options.list)
+        return options;
+
+    const bool exact_replay = !options.replayPath.empty();
+    const bool stream_replay = !options.replayStream.empty();
+    const int sources = !options.programPath.empty() +
+                        !options.workload.empty() + exact_replay +
+                        stream_replay;
+    if (sources != 1) {
+        return fail("give exactly one of a program file, --workload "
+                    "NAME, --replay FILE or --replay-stream LIST");
+    }
+    if (scale_given && options.workload.empty())
+        return fail("--scale needs --workload");
+
+    // A replay runs the recorded program on the recorded thread count
+    // (a cocktail: one thread per stream, at the recorded addresses),
+    // and an exact replay runs it on replayExact()'s own processor.
+    // No exactness check covers a flattened stream's graph.
+    const std::pair<bool, std::string> refused[] = {
+        {threads_given, "-t"},
+        {options.align, "--align"},
+        {!options.recordPath.empty(), "--record"},
+        {exact_replay && options.timeoutSeconds > 0.0, "--timeout"},
+        {exact_replay && options.stats, "--stats"},
+        {stream_replay && options.critpath, critpath_flag},
+    };
+    if (exact_replay || stream_replay) {
+        for (const auto &[given, flag] : refused) {
+            if (given) {
+                return fail(flag + " does not apply to " +
+                            (exact_replay ? "--replay"
+                                          : "--replay-stream"));
+            }
+        }
+    }
     return options;
 }
 
@@ -405,149 +783,33 @@ int
 runCli(const CliOptions &options, std::ostream &out,
        std::ostream &trace_out)
 {
-    if (!options.replayPath.empty())
-        return runReplayExact(options, out);
-    if (!options.replayStream.empty())
-        return runReplayStream(options, out);
-
-    std::ifstream file(options.programPath);
-    if (!file) {
-        out << "sdsp-run: cannot open " << options.programPath << "\n";
-        return 1;
+    if (options.list) {
+        printWorkloadNames(out);
+        return 0;
     }
-    std::ostringstream source;
-    source << file.rdbuf();
+    if (!options.replayPath.empty())
+        return runReplayExact(options, out, trace_out);
 
-    AssemblyResult assembly = assemble(source.str());
-    Program program = assembly.program;
-
+    ProgramRun run;
+    run.config = options.config;
+    const bool loaded =
+        !options.workload.empty() ? buildWorkload(options, run, out)
+        : !options.replayStream.empty()
+            ? buildStreams(options, run, out)
+            : assembleFile(options, run, out);
+    if (!loaded)
+        return 1;
     if (options.align) {
         LayoutOptions layout;
         layout.alignTargetsToBlocks = true;
         layout.alignBranchesToBlockEnd = true;
-        program = realignProgram(program, layout);
+        run.program = realignProgram(run.program, layout);
     }
-
     if (options.disasmOnly) {
-        out << disassemble(program);
+        out << disassemble(run.program);
         return 0;
     }
-
-    unsigned budget = options.config.regsPerThread();
-    if (assembly.maxRegisterUsed >= budget) {
-        out << "sdsp-run: program uses r" << assembly.maxRegisterUsed
-            << " but " << options.config.numThreads
-            << " thread(s) allow only r0..r" << budget - 1 << "\n";
-        return 1;
-    }
-
-    Processor cpu(options.config, program);
-
-    // Assemble the requested sinks behind one tee. The processor
-    // sees a single TraceSink*; nullptr keeps tracing zero-cost.
-    TeeTraceSink tee;
-    TextTraceSink streamSink(trace_out);
-    std::ofstream textFile;
-    std::unique_ptr<TextTraceSink> fileSink;
-    std::ofstream jsonFile;
-    std::unique_ptr<JsonTraceSink> jsonSink;
-
-    if (options.trace)
-        tee.add(&streamSink);
-    if (!options.traceFile.empty()) {
-        textFile.open(options.traceFile);
-        if (!textFile) {
-            out << "sdsp-run: cannot open " << options.traceFile
-                << "\n";
-            return 1;
-        }
-        fileSink = std::make_unique<TextTraceSink>(textFile);
-        tee.add(fileSink.get());
-    }
-    if (!options.traceJson.empty()) {
-        jsonFile.open(options.traceJson);
-        if (!jsonFile) {
-            out << "sdsp-run: cannot open " << options.traceJson
-                << "\n";
-            return 1;
-        }
-        jsonSink = std::make_unique<JsonTraceSink>(jsonFile);
-        tee.add(jsonSink.get());
-    }
-    std::ofstream recordFile;
-    std::unique_ptr<TraceRecorder> recorder;
-    if (!options.recordPath.empty()) {
-        recordFile.open(options.recordPath);
-        if (!recordFile) {
-            out << "sdsp-run: cannot open " << options.recordPath
-                << "\n";
-            return 1;
-        }
-        recorder = std::make_unique<TraceRecorder>(
-            recordFile, program, options.config,
-            options.programPath);
-        tee.add(recorder.get());
-    }
-
-    std::unique_ptr<DdgRecorder> ddg;
-    if (options.critpath) {
-        ddg = std::make_unique<DdgRecorder>();
-        tee.add(ddg.get());
-    }
-
-    bool tracing =
-        options.trace || fileSink || jsonSink || recorder || ddg;
-    if (tracing)
-        cpu.setTraceSink(&tee);
-
-    std::optional<Processor::Deadline> deadline;
-    if (options.timeoutSeconds > 0.0) {
-        deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(options.timeoutSeconds));
-    }
-    SimResult sim = cpu.run(deadline);
-    if (recorder)
-        recorder->noteResult(sim);
-    if (tracing)
-        tee.finish();
-    std::vector<std::uint64_t> per_thread =
-        perThreadCommitted(cpu, options.config.numThreads);
-    printRunSummary(out, options.config, sim, per_thread);
-    if (!options.summaryJson.empty() &&
-        !writeSummaryJson(options.summaryJson, options.config, sim,
-                          per_thread, out))
-        return 1;
-
-    // One graph, built and checked once, for the report and --stats.
-    CheckedGraph critpath;
-    RelaxResult baseline;
-    if (ddg && sim.finished) {
-        critpath = buildCheckedGraph(*ddg, options.config, sim.cycles);
-        if (critpath.mismatch.empty()) {
-            baseline = critpath.graph->relax(WhatIf{});
-            printCritpath(out, *critpath.graph, baseline);
-        } else {
-            out << "critpath  : INEXACT — " << critpath.mismatch << "\n";
-        }
-    }
-    const bool critpath_exact = critpath.mismatch.empty();
-
-    if (options.stats) {
-        StatsRegistry registry;
-        cpu.reportStats(registry);
-        if (critpath.graph && critpath_exact)
-            critpathReportStats(*critpath.graph, baseline, registry);
-        out << "\n" << registry.toString();
-        printStallTable(out, cpu, options.config, sim.cycles);
-    }
-    if (!critpath_exact)
-        return 1;
-    if (sim.finished)
-        return 0;
-    return sim.timedOut ? 3 : 2;
+    return runProgram(options, run, out, trace_out);
 }
 
 } // namespace sdsp

@@ -2,14 +2,25 @@
  * @file
  * The sdsp-run command-line simulator.
  *
- * Assembles an SDSP-MT assembly file and runs it on a configurable
- * machine:
+ * Runs one source on a configurable machine:
  *
  *     sdsp-run [options] program.s
+ *     sdsp-run [options] --workload LL1 --scale 25
+ *     sdsp-run [options] --replay run.trace
+ *     sdsp-run [options] --replay-stream a.trace:0,b.trace:1
+ *
+ * An assembly file, a built-in benchmark's image (verified against
+ * its C++ reference after the run) and a stream cocktail's flattened
+ * program all run the same way; an exact replay re-runs a recording
+ * and checks its committed stream. Every source but a cocktail can
+ * explain its cycle count: --critpath (implied by --what-if, --slack
+ * and --critpath-json) records the dependence graph through the same
+ * sink tee as the trace and record flags, checks its critical path
+ * exact and projects what-if machines from it.
  *
  * cliUsage() lists the options. The machine flags (-t, -f, -s, the
  * cache flags, ...) come from the table behind parseMachineFlag()
- * (cli_util.hh), which sdsp-critpath reads too.
+ * (cli_util.hh).
  *
  * Parsing and execution live behind a testable interface; main() is
  * a thin wrapper.
@@ -23,6 +34,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "critpath/ddg.hh"
 
 namespace sdsp
 {
@@ -32,6 +44,12 @@ struct CliOptions
 {
     MachineConfig config;
     std::string programPath;
+    /** Run this built-in benchmark instead of a program file. */
+    std::string workload;
+    /** Workload problem scale in percent. */
+    unsigned scale = 100;
+    /** List the built-in benchmarks and exit. */
+    bool list = false;
     bool trace = false;
     /** Write the text trace here (empty = off). */
     std::string traceFile;
@@ -49,8 +67,15 @@ struct CliOptions
     /** Write a machine-readable run summary here (empty = off). */
     std::string summaryJson;
     /** Record the dependence graph and print the critical-path
-     *  breakdown after the run. */
+     *  report after the run. */
     bool critpath = false;
+    /** One projection per --what-if, parsed (and so validated)
+     *  before anything runs. */
+    std::vector<WhatIf> whatIfs;
+    /** Print the per-class slack summary. */
+    bool slack = false;
+    /** Write the sdsp-critpath-v1 JSON document here (empty = off). */
+    std::string critpathJson;
     /** Wall-clock budget in seconds; 0 = unlimited. A run stopped by
      *  this budget exits with code 3 (cycle cap stays code 2). */
     double timeoutSeconds = 0.0;
@@ -66,11 +91,12 @@ CliOptions parseCliOptions(const std::vector<std::string> &args);
 std::string cliUsage();
 
 /**
- * Assemble and run per @p options, writing output to @p out (and the
- * trace, if enabled, to @p trace_out).
+ * Run per @p options, writing output to @p out (and the trace, if
+ * enabled, to @p trace_out).
  *
- * @return Process exit code: 0 on success, 1 on input errors, 2 when
- *         the cycle cap stopped the run, 3 when --timeout did.
+ * @return Process exit code: 0 on success, 1 on input, verification
+ *         or exactness errors, 2 when the cycle cap stopped the run,
+ *         3 when --timeout did.
  */
 int runCli(const CliOptions &options, std::ostream &out,
            std::ostream &trace_out);

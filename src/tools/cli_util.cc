@@ -1,6 +1,7 @@
 #include "tools/cli_util.hh"
 
 #include <initializer_list>
+#include <ostream>
 #include <sstream>
 #include <utility>
 
@@ -164,6 +165,15 @@ findWorkload(const std::string &name)
         if (workload->name() == name)
             return workload;
     return nullptr;
+}
+
+void
+printWorkloadNames(std::ostream &out)
+{
+    for (const Workload *workload : allWorkloads())
+        out << workload->name() << "\n";
+    for (const Workload *workload : extensionWorkloads())
+        out << workload->name() << "\n";
 }
 
 std::string

@@ -1,10 +1,10 @@
 /**
  * @file
  * Value parsers and helpers shared by the command-line tools
- * (sdsp-run, sdsp-lint, sdsp-critpath, sdsp-explore, sdsp-fuzz), so
- * every tool accepts and rejects a value the same way: the integer
- * reader (common/number.hh) and the one table of machine flags that
- * sdsp-run and sdsp-critpath both read.
+ * (sdsp-run, sdsp-lint, sdsp-explore, sdsp-fuzz), so every tool
+ * accepts and rejects a value the same way: the integer and seconds
+ * readers (common/number.hh), the one table of machine flags, and the
+ * workload lookup and list.
  */
 
 #ifndef SDSP_TOOLS_CLI_UTIL_HH
@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +40,10 @@ std::string machineFlagUsage();
 
 /** A built-in benchmark or extension by name; nullptr if unknown. */
 const Workload *findWorkload(const std::string &name);
+
+/** --list: the built-in benchmarks, then the extensions, one name a
+ *  line. */
+void printWorkloadNames(std::ostream &out);
 
 /** Locale-safe "12.34%" via integer basis points (printf %f would
  *  follow LC_NUMERIC for the decimal point; integers never do). */

@@ -164,10 +164,7 @@ int
 runExploreCli(const ExploreCliOptions &options, std::ostream &out)
 {
     if (options.list) {
-        for (const Workload *workload : allWorkloads())
-            out << workload->name() << "\n";
-        for (const Workload *workload : extensionWorkloads())
-            out << workload->name() << "\n";
+        printWorkloadNames(out);
         return 0;
     }
 

@@ -7,17 +7,20 @@
  * points by position. The crit_whatif report must fail one gate per
  * spot check beyond its tolerance. The driver tests run the real
  * binaries (paths baked in via SDSP_*_PATH): experiment selection
- * with --only, recorded sweeps, the crit_whatif artifact, rejection
- * of malformed numbers, and the exit status of a failed sdsp-explore
- * gate.
+ * with --only, point names and the fault ids they make, recorded
+ * sweeps and their serial seconds, the crit_whatif artifact,
+ * rejection of malformed numbers, and the exit status of a failed
+ * sdsp-explore gate.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json_reader.hh"
 #include "experiments.hh"
@@ -84,11 +87,14 @@ artifactPath()
 }
 
 /** sdsp_bench_all at scale 10 with @p flags (--only ...), artifact
- *  at artifactPath(). */
+ *  at artifactPath(), and SDSP_BENCH_FAULT=@p fault when given. */
 int
-runSelection(const std::string &flags, std::string *output)
+runSelection(const std::string &flags, std::string *output,
+             const std::string &fault = "")
 {
-    return runCommand(std::string(SDSP_BENCH_ALL_PATH) +
+    std::string command =
+        fault.empty() ? "" : "SDSP_BENCH_FAULT='" + fault + "' ";
+    return runCommand(command + SDSP_BENCH_ALL_PATH +
                           " --scale 10 --jobs 2 --no-checkpoint --out '" +
                           artifactPath() + "' " + flags,
                       output);
@@ -104,6 +110,27 @@ TEST(BenchSelection, ListsAblationPoints)
         << output;
     EXPECT_NE(output.find("\n44 grid points"), std::string::npos)
         << output;
+}
+
+TEST(BenchSelection, ListNamesEveryPointApart)
+{
+    // Each point by its benchmark and "<experiment>/<variant>": the
+    // machine string alone reads the same for distinct machines (an
+    // issueWidth=16 machine reads like the 4-thread baseline).
+    for (const char *filter : {"abl", "crit_whatif"}) {
+        std::string output;
+        ASSERT_EQ(runCommand(std::string(SDSP_BENCH_ALL_PATH) +
+                                 " --list --only " + filter,
+                             &output),
+                  0)
+            << output;
+        std::istringstream lines(output);
+        std::set<std::string> seen;
+        std::string line;
+        while (std::getline(lines, line))
+            EXPECT_TRUE(seen.insert(line).second) << filter << ": " << line;
+        EXPECT_GT(seen.size(), 50u) << output;
+    }
 }
 
 TEST(BenchSelection, RunsAndPrintsAnAblation)
@@ -150,6 +177,30 @@ TEST(BenchSelection, RecordsEveryPointExact)
         << output;
 }
 
+TEST(BenchSelection, SerialSecondsCountTheGraphWork)
+{
+    // Serially, the recorded sweep's serial-equivalent time holds the
+    // runs and the graph builds beside them.
+    std::string output;
+    ASSERT_EQ(runCommand(std::string(SDSP_BENCH_ALL_PATH) +
+                             " --scale 10 --jobs 1 --no-checkpoint "
+                             "--record --only abl_bypassing --out '" +
+                             artifactPath() + "'",
+                         &output),
+              0)
+        << output;
+    std::ifstream file(artifactPath());
+    std::ostringstream text;
+    text << file.rdbuf();
+    std::string error;
+    std::optional<JsonValue> artifact = parseJson(text.str(), &error);
+    ASSERT_TRUE(artifact.has_value()) << error;
+    double runs = 0.0;
+    for (const JsonValue &run : artifact->find("runs")->items())
+        runs += run.find("result")->find("wall_seconds")->asDouble();
+    EXPECT_GT(artifact->find("serial_seconds")->asDouble(), runs);
+}
+
 TEST(BenchSelection, RecordRefusesToResume)
 {
     // A restored point was never recorded, so its graph was never
@@ -188,6 +239,35 @@ TEST(BenchSelection, RunsTheCritWhatIfGate)
     for (const JsonValue &check : crit->find("spotChecks")->items())
         passed += check.find("pass")->asBool();
     EXPECT_EQ(passed, 3u);
+}
+
+TEST(BenchSelection, AFaultRuleFailsOneVariant)
+{
+    // The fault id is "<benchmark>/<experiment>/<variant>": only LL5's
+    // 4-thread recording fails, and with it the spot check projected
+    // from that recording.
+    std::string output;
+    EXPECT_EQ(runSelection("--only crit_whatif",
+                           &output, "LL5/crit_whatif/4T=throw"),
+              1)
+        << output;
+    // Counted anywhere: stderr's lines may land inside a stdout line
+    // that the pipe's buffer split.
+    auto count = [&](const std::string &needle) {
+        std::size_t found = 0;
+        for (std::size_t at = output.find(needle); at != std::string::npos;
+             at = output.find(needle, at + 1))
+            ++found;
+        return found;
+    };
+    EXPECT_EQ(count("FAIL ["), 1u) << output;
+    EXPECT_EQ(count("GATE crit_whatif: spot check"), 1u) << output;
+    EXPECT_NE(output.find("FAIL [failed] LL5/crit_whatif/4T: "),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("\n21/22 recorded points exact\n"),
+              std::string::npos)
+        << output;
 }
 
 /** A crit_whatif run whose projections all equal their
@@ -248,9 +328,15 @@ TEST(CritWhatIfReport, FailsOneGatePerSpotCheckBeyondTolerance)
 
 TEST(BenchDrivers, RejectNumbersWithTrailingGarbage)
 {
-    for (std::string command :
-         {std::string(SDSP_BENCH_ALL_PATH) + " --list --scale 10x",
-          std::string(SDSP_BENCH_ALL_PATH) + " --list --jobs 2x"}) {
+    std::vector<std::string> commands = {
+        std::string(SDSP_BENCH_ALL_PATH) + " --list --scale 10x",
+        std::string(SDSP_BENCH_ALL_PATH) + " --list --jobs 2x"};
+    // Nor seconds that cannot become a deadline.
+    for (const char *seconds : {"inf", "nan", "1e300", "-1", "1x"}) {
+        commands.push_back(std::string(SDSP_BENCH_ALL_PATH) +
+                           " --list --timeout " + seconds);
+    }
+    for (const std::string &command : commands) {
         std::string output;
         EXPECT_EQ(runCommand(command, &output), 1) << command;
         EXPECT_NE(output.find("bad --"), std::string::npos)

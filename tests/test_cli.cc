@@ -14,11 +14,12 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "common/json_reader.hh"
 #include "core/processor.hh"
 #include "isa/interpreter.hh"
 #include "tools/cli.hh"
-#include "tools/critpath_cli.hh"
 #include "tools/lint_cli.hh"
+#include "trace_frontend/trace_format.hh"
 
 namespace sdsp
 {
@@ -112,32 +113,6 @@ TEST(CliParse, AllOptions)
     EXPECT_TRUE(options.stats);
 }
 
-TEST(CliParse, CritpathReadsTheSameMachineFlags)
-{
-    // sdsp-critpath reads sdsp-run's machine flags from the same
-    // table, so the same flags build the same machine.
-    const std::vector<std::string> machine = {
-        "-t", "2", "-f", "cswitch", "-s", "64", "--commit", "lowest",
-        "--rename", "scoreboard", "--no-bypass", "--cache-ways", "1",
-        "--cache-size", "4096", "--cache-partitions", "2",
-        "--btb-banks", "2", "--finite-icache", "--max-cycles", "1234"};
-    std::vector<std::string> run_args = machine;
-    run_args.push_back("prog.s");
-    std::vector<std::string> critpath_args = {"--workload", "LL1"};
-    critpath_args.insert(critpath_args.end(), machine.begin(),
-                         machine.end());
-
-    const CliOptions run = parseCliOptions(run_args);
-    CritpathCliOptions critpath = parseCritpathCliOptions(critpath_args);
-    ASSERT_TRUE(run.ok) << run.error;
-    ASSERT_TRUE(critpath.ok) << critpath.error;
-    EXPECT_EQ(critpath.config.finalize(), run.config);
-    EXPECT_NE(run.config, MachineConfig{}.finalize());
-    EXPECT_NE(critpathCliUsage().find(
-                  "  --btb-banks N        private per-thread BTBs\n"),
-              std::string::npos);
-}
-
 TEST(CliParse, WeightedPolicyWithWeights)
 {
     CliOptions options =
@@ -225,6 +200,78 @@ TEST(CliParse, Timeout)
     CliOptions options = parse({"--timeout", "2.5", "prog.s"});
     ASSERT_TRUE(options.ok) << options.error;
     EXPECT_EQ(options.timeoutSeconds, 2.5);
+    EXPECT_EQ(parse({"--timeout", "1e9", "prog.s"}).timeoutSeconds, 1e9);
+
+    // Nothing that cannot become a deadline: no infinity, no nan, no
+    // budget whose nanoseconds overflow the clock.
+    for (const char *bad : {"inf", "nan", "1e300", "1.5e9", "-1", "1x",
+                            "+1", " 1", ""}) {
+        CliOptions refused = parse({"--timeout", bad, "prog.s"});
+        EXPECT_FALSE(refused.ok) << bad;
+        EXPECT_EQ(refused.error, std::string("bad timeout: ") + bad);
+    }
+}
+
+TEST(CliParse, CritpathFlagsImplyTheReport)
+{
+    EXPECT_FALSE(parse({"prog.s"}).critpath);
+    for (std::vector<std::string> args :
+         {std::vector<std::string>{"--what-if", "issueWidth=16"},
+          {"--slack"},
+          {"--critpath-json", "c.json"}}) {
+        args.push_back("prog.s");
+        CliOptions options = parseCliOptions(args);
+        ASSERT_TRUE(options.ok) << options.error;
+        EXPECT_TRUE(options.critpath) << args[0];
+    }
+    CliOptions options = parse({"--what-if", "issueWidth=16", "--what-if",
+                                "suEntries=64,bypassing=0", "prog.s"});
+    ASSERT_TRUE(options.ok) << options.error;
+    EXPECT_EQ(options.whatIfs.size(), 2u);
+    EXPECT_FALSE(options.slack);
+}
+
+TEST(CliParse, ReplaysRefuseWhatTheyCannotHonour)
+{
+    using Args = std::vector<std::string>;
+    auto error_of = [](const char *source, Args flags) {
+        flags.insert(flags.begin(), {source, "demo.trace"});
+        CliOptions options = parseCliOptions(flags);
+        return options.ok ? std::string() : options.error;
+    };
+    // Neither replay runs another program or thread count, or records.
+    for (const char *source : {"--replay", "--replay-stream"}) {
+        SCOPED_TRACE(source);
+        for (const Args &flags : {Args{"-t", "2"}, Args{"--align"},
+                                  Args{"--record", "r.trace"}}) {
+            EXPECT_EQ(error_of(source, flags),
+                      flags[0] + " does not apply to " + source);
+        }
+        // What takes effect.
+        for (const Args &flags :
+             {Args{"--trace"}, Args{"--trace-file", "t.txt"},
+              Args{"--trace-json", "t.json"}, Args{"--disasm"},
+              Args{"--summary-json", "s.json"}, Args{"-s", "64"},
+              Args{"--max-cycles", "1000"}}) {
+            EXPECT_EQ(error_of(source, flags), "") << flags[0];
+        }
+    }
+    // replayExact() owns its processor: no deadline and no counters.
+    EXPECT_EQ(error_of("--replay", {"--timeout", "5"}),
+              "--timeout does not apply to --replay");
+    EXPECT_EQ(error_of("--replay", {"--stats"}),
+              "--stats does not apply to --replay");
+    EXPECT_EQ(error_of("--replay-stream", {"--timeout", "5", "--stats"}),
+              "");
+    // A flattened stream's graph has no exactness check; each
+    // spelling of the report is refused by the flag given.
+    for (const Args &flags :
+         {Args{"--critpath"}, Args{"--what-if", "issueWidth=16"},
+          Args{"--slack"}, Args{"--critpath-json", "c.json"}}) {
+        EXPECT_EQ(error_of("--replay-stream", flags),
+                  flags[0] + " does not apply to --replay-stream");
+        EXPECT_EQ(error_of("--replay", flags), "") << flags[0];
+    }
 }
 
 TEST(CliParse, UsageMentionsEveryOption)
@@ -235,7 +282,10 @@ TEST(CliParse, UsageMentionsEveryOption)
           "--no-bypass", "--cache-ways", "--cache-partitions",
           "--btb-banks", "--finite-icache", "--max-cycles",
           "--timeout", "--align", "--trace", "--trace-file",
-          "--trace-json", "--stats", "--disasm"}) {
+          "--trace-json", "--stats", "--disasm", "--workload",
+          "--scale", "--list", "--critpath", "--what-if", "--slack",
+          "--critpath-json", "--record", "--replay", "--replay-stream",
+          "--summary-json"}) {
         EXPECT_NE(usage.find(token), std::string::npos) << token;
     }
 }
@@ -337,6 +387,61 @@ TEST_F(CliFile, TraceJsonIsWellFormed)
     EXPECT_EQ(last_nonempty, "]");
     EXPECT_GT(records, 4u);
     std::remove(json_path.c_str());
+}
+
+TEST_F(CliFile, ReplayExplainsTheRecording)
+{
+    const std::string base = ::testing::TempDir() + "cli_replay_";
+    const std::string recording = base + "run.trace";
+    const std::string report = base + "critpath.json";
+    const std::string trace_json = base + "trace.json";
+    std::ostringstream out, trace;
+    CliOptions record = parse(
+        {"-t", "2", "--record", recording.c_str(), path.c_str()});
+    ASSERT_TRUE(record.ok) << record.error;
+    ASSERT_EQ(runCli(record, out, trace), 0) << out.str();
+    TraceReadResult loaded = readTraceFile(recording);
+    ASSERT_TRUE(loaded.ok) << loaded.error.toString();
+
+    // The replay's sinks ride on replayExact(): the critical path of
+    // the replayed run, and the trace flags, all take effect.
+    CliOptions replay =
+        parse({"--replay", recording.c_str(), "--critpath",
+               "--critpath-json", report.c_str(), "--trace",
+               "--trace-json", trace_json.c_str()});
+    ASSERT_TRUE(replay.ok) << replay.error;
+    std::ostringstream replay_out, replay_trace;
+    EXPECT_EQ(runCli(replay, replay_out, replay_trace), 0)
+        << replay_out.str();
+    EXPECT_NE(replay_out.str().find("verified  : yes"), std::string::npos)
+        << replay_out.str();
+    EXPECT_NE(replay_out.str().find(" cycles (exact), "),
+              std::string::npos)
+        << replay_out.str();
+    EXPECT_NE(replay_trace.str().find("fetch: tid="), std::string::npos);
+
+    std::ifstream json_file(report);
+    std::ostringstream json_text;
+    json_text << json_file.rdbuf();
+    std::string error;
+    std::optional<JsonValue> json = parseJson(json_text.str(), &error);
+    ASSERT_TRUE(json.has_value()) << error;
+    EXPECT_EQ(json->find("schema")->asString(), "sdsp-critpath-v1");
+    EXPECT_EQ(json->find("workload")->asString(), recording);
+    EXPECT_EQ(json->find("measuredCycles")->toUint64().value_or(0),
+              std::uint64_t{loaded.trace.cycles});
+    const JsonValue *path_json = json->find("criticalPath");
+    EXPECT_EQ(path_json->find("cycles")->toUint64().value_or(0),
+              std::uint64_t{loaded.trace.cycles});
+    EXPECT_TRUE(path_json->find("exact")->asBool());
+
+    std::ifstream trace_file(trace_json);
+    std::ostringstream trace_text;
+    trace_text << trace_file.rdbuf();
+    EXPECT_TRUE(parseJson(trace_text.str(), &error).has_value())
+        << error;
+    for (const std::string &file : {recording, report, trace_json})
+        std::remove(file.c_str());
 }
 
 TEST_F(CliFile, UnwritableTracePathFails)
@@ -472,15 +577,16 @@ TEST(CliOverflow, MostNegativeDivisionRunsInEveryTool)
         ASSERT_TRUE(cpu.run().finished);
         EXPECT_EQ(cpu.readReg(0, 3), expected[k]);
 
-        // sdsp-run and sdsp-critpath finish; sdsp-lint, which folds
-        // the division as a constant, reports its findings.
+        // sdsp-run finishes, with and without the critical path;
+        // sdsp-lint, which folds the division as a constant, reports
+        // its findings.
         std::string path = ::testing::TempDir() + "cli_overflow_" +
                            std::to_string(k) + ".s";
         std::ofstream(path) << source;
         std::ostringstream out, trace;
         EXPECT_EQ(runCli(parse({path.c_str()}), out, trace), 0)
             << out.str();
-        EXPECT_EQ(runCritpathCli(parseCritpathCliOptions({path}), out),
+        EXPECT_EQ(runCli(parse({"--critpath", path.c_str()}), out, trace),
                   0)
             << out.str();
         EXPECT_EQ(runLintCli(parseLintCliOptions({path}), out), 1)
@@ -521,8 +627,8 @@ TEST(CliAddress, TopWordIsOutOfRangeNotACrash)
     // load, as for any other out-of-range address.
     EXPECT_EQ(runCli(parse({load_path.c_str()}), out, trace), 0)
         << out.str();
-    EXPECT_EQ(runCritpathCli(parseCritpathCliOptions({load_path}), out),
-              0)
+    EXPECT_EQ(
+        runCli(parse({"--critpath", load_path.c_str()}), out, trace), 0)
         << out.str();
 
     // A committed out-of-range store is still a named panic, not a
@@ -530,7 +636,7 @@ TEST(CliAddress, TopWordIsOutOfRangeNotACrash)
     EXPECT_DEATH(runCli(parse({store_path.c_str()}), out, trace),
                  "write out of range at 0xfffffff8");
     EXPECT_DEATH(
-        runCritpathCli(parseCritpathCliOptions({store_path}), out),
+        runCli(parse({"--critpath", store_path.c_str()}), out, trace),
         "write out of range at 0xfffffff8");
     std::remove(load_path.c_str());
     std::remove(store_path.c_str());

@@ -6,8 +6,8 @@
  * (identity at the baseline, optimistic-bound soundness under
  * capacity increases), breakdown accounting, pinned built graphs and
  * non-baseline projections, named errors for what the graph cannot
- * hold, slack histograms, the WhatIf key=value parser, and the
- * sdsp-critpath CLI.
+ * hold, slack histograms, the WhatIf key=value parser, and sdsp-run's
+ * critical-path report.
  */
 
 #include <cstdint>
@@ -29,7 +29,7 @@
 #include "fuzz/generator.hh"
 #include "harness/runner.hh"
 #include "machine_variants.hh"
-#include "tools/critpath_cli.hh"
+#include "tools/cli.hh"
 #include "workloads/workload.hh"
 
 namespace sdsp
@@ -922,31 +922,68 @@ TEST(WhatIf, BaselineDetection)
     EXPECT_EQ(classifyWhatIf(rounded, cfg), Confidence::Exact);
 }
 
-// ---- CLI ----
+// ---- sdsp-run's critical-path report ----
 
 TEST(CritpathCli, WorkloadRunIsExactAndProjects)
 {
-    CritpathCliOptions options = parseCritpathCliOptions(
+    CliOptions options = parseCliOptions(
         {"--workload", "LL1", "--scale", "10", "--what-if",
          "issueWidth=16"});
     ASSERT_TRUE(options.ok) << options.error;
-    std::ostringstream out;
-    EXPECT_EQ(runCritpathCli(options, out), 0);
-    EXPECT_NE(out.str().find("exact"), std::string::npos);
-    EXPECT_NE(out.str().find("issueWidth=16"), std::string::npos);
+    EXPECT_TRUE(options.critpath);
+    std::ostringstream out, trace;
+    EXPECT_EQ(runCli(options, out, trace), 0) << out.str();
+    EXPECT_NE(out.str().find(" cycles (exact), "), std::string::npos)
+        << out.str();
+    EXPECT_NE(out.str().find("what-if issueWidth=16 "), std::string::npos)
+        << out.str();
+}
+
+TEST(CritpathCli, WorkloadRunMatchesTheHarness)
+{
+    // The image the harness runs, on the same machine, to the same
+    // cycle, and verified against the same C++ reference.
+    CliOptions options =
+        parseCliOptions({"--workload", "LL1", "--scale", "10"});
+    ASSERT_TRUE(options.ok) << options.error;
+    EXPECT_FALSE(options.critpath);
+    std::ostringstream out, trace;
+    EXPECT_EQ(runCli(options, out, trace), 0) << out.str();
+    RunResult harness =
+        runWorkload(workloadByName("LL1"), options.config, 10);
+    ASSERT_TRUE(harness.verified) << harness.verifyMessage;
+    EXPECT_NE(out.str().find("\ncycles    : " +
+                             std::to_string(harness.cycles) + "\n"),
+              std::string::npos)
+        << out.str();
+    EXPECT_NE(out.str().find("\nverified  : yes\n"), std::string::npos)
+        << out.str();
 }
 
 TEST(CritpathCli, RejectsConflictingInputs)
 {
-    CritpathCliOptions options = parseCritpathCliOptions(
-        {"--workload", "LL1", "--trace", "x.trace"});
-    EXPECT_FALSE(options.ok);
+    for (std::vector<std::string> args :
+         {std::vector<std::string>{"--workload", "LL1", "prog.s"},
+          {"--workload", "LL1", "--replay", "x.trace"},
+          {"--workload", "LL1", "--replay-stream", "x.trace"},
+          {"prog.s", "--replay", "x.trace"},
+          {"--replay", "x.trace", "--replay-stream", "x.trace"},
+          {}}) {
+        CliOptions options = parseCliOptions(args);
+        EXPECT_FALSE(options.ok);
+        EXPECT_EQ(options.error,
+                  "give exactly one of a program file, --workload NAME, "
+                  "--replay FILE or --replay-stream LIST");
+    }
+    // --scale sizes a workload and nothing else.
+    EXPECT_EQ(parseCliOptions({"--scale", "10", "prog.s"}).error,
+              "--scale needs --workload");
 }
 
 TEST(CritpathCli, NumericValuesOutsideTheirFieldAreErrors)
 {
     auto parse = [](std::vector<std::string> args) {
-        return parseCritpathCliOptions(std::move(args));
+        return parseCliOptions(std::move(args));
     };
     // Both used to wrap to 32 bits: scale 10 and an SU of 64.
     EXPECT_FALSE(parse({"--workload", "LL1", "-t", "4", "--scale",
@@ -956,38 +993,38 @@ TEST(CritpathCli, NumericValuesOutsideTheirFieldAreErrors)
     EXPECT_FALSE(parse({"--workload", "LL1", "--scale", "10x"}).ok);
     EXPECT_FALSE(parse({"--workload", "LL1", "-t", "-4"}).ok);
 
-    CritpathCliOptions options =
+    CliOptions options =
         parse({"--workload", "LL1", "--scale", "10", "-s", "48"});
     ASSERT_TRUE(options.ok) << options.error;
     EXPECT_EQ(options.scale, 10u);
     EXPECT_EQ(options.config.suEntries, 48u);
     EXPECT_EQ(options.config.numThreads, 4u); // the usage's default
-    EXPECT_NE(critpathCliUsage().find("-t N                 resident "
-                                      "threads (default 4)"),
+    EXPECT_EQ(parse({"--workload", "LL1"}).scale, 100u);
+    EXPECT_NE(cliUsage().find("-t N                 resident "
+                              "threads (default 4)"),
               std::string::npos);
 }
 
 TEST(CritpathCli, BadWhatIfFailsWhileParsing)
 {
     // Rejected with the options, before the recording run.
-    CritpathCliOptions bad = parseCritpathCliOptions(
-        {"--workload", "LL1", "--what-if", "bogus=1"});
+    CliOptions bad =
+        parseCliOptions({"--workload", "LL1", "--what-if", "bogus=1"});
     EXPECT_FALSE(bad.ok);
     EXPECT_NE(bad.error.find("bogus"), std::string::npos) << bad.error;
-    EXPECT_FALSE(parseCritpathCliOptions(
-                     {"--workload", "LL1", "--what-if",
-                      "issueWidth=16,suEntries=x"})
+    EXPECT_FALSE(parseCliOptions({"--workload", "LL1", "--what-if",
+                                  "issueWidth=16,suEntries=x"})
                      .ok);
     // No sign, and no latency below one cycle.
-    EXPECT_FALSE(parseCritpathCliOptions(
+    EXPECT_FALSE(parseCliOptions(
                      {"--workload", "LL1", "--what-if", "bypassing=-1"})
                      .ok);
-    EXPECT_FALSE(parseCritpathCliOptions({"--workload", "LL1",
-                                          "--what-if", "fuLat.Load=0"})
+    EXPECT_FALSE(parseCliOptions(
+                     {"--workload", "LL1", "--what-if", "fuLat.Load=0"})
                      .ok);
 
     // Values are read like sdsp-run's -s 0x20: 0x-hex and 0-octal.
-    CritpathCliOptions good = parseCritpathCliOptions(
+    CliOptions good = parseCliOptions(
         {"--workload", "LL1", "--what-if", "issueWidth=0x10,suEntries=0100",
          "--what-if", "perfectDCache=1"});
     ASSERT_TRUE(good.ok) << good.error;
@@ -999,11 +1036,24 @@ TEST(CritpathCli, BadWhatIfFailsWhileParsing)
 
 TEST(CritpathCli, UnknownWorkloadFailsCleanly)
 {
-    CritpathCliOptions options = parseCritpathCliOptions(
-        {"--workload", "NoSuchBenchmark"});
+    CliOptions options =
+        parseCliOptions({"--workload", "NoSuchBenchmark"});
     ASSERT_TRUE(options.ok) << options.error;
-    std::ostringstream out;
-    EXPECT_EQ(runCritpathCli(options, out), 1);
+    std::ostringstream out, trace;
+    EXPECT_EQ(runCli(options, out, trace), 1);
+    EXPECT_EQ(out.str(),
+              "sdsp-run: no benchmark named 'NoSuchBenchmark' "
+              "(see --list)\n");
+
+    // --list names every benchmark --workload takes.
+    std::ostringstream listed;
+    EXPECT_EQ(runCli(parseCliOptions({"--list"}), listed, trace), 0);
+    for (const Workload *workload : allWorkloads())
+        EXPECT_NE(listed.str().find(workload->name() + "\n"),
+                  std::string::npos);
+    for (const Workload *workload : extensionWorkloads())
+        EXPECT_NE(listed.str().find(workload->name() + "\n"),
+                  std::string::npos);
 }
 
 } // namespace

@@ -224,6 +224,24 @@ TEST(Sweep, RetriesExhaustOnPersistentThrow)
     EXPECT_EQ(outcomes[0].attempts, 3u) << "1 try + 2 retries";
 }
 
+TEST(Sweep, HundredRetriesBackOffWithinTheClock)
+{
+    // The back-off doubles per retry, and --retries allows 100: a
+    // 32-bit shift would be undefined past the 32nd, which the
+    // sanitizer build reports.
+    SweepOptions options;
+    options.retries = 100;
+    options.retryBackoffSeconds = 0.0;
+    options.faults = FaultPlan::fromSpec("Sieve=throw");
+
+    SweepRunner runner(1, options);
+    runner.add(workloadByName("Sieve"), MachineConfig{}, 10, "fig05");
+    std::vector<JobOutcome> outcomes = runner.runAll();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].status, JobStatus::Failed);
+    EXPECT_EQ(outcomes[0].attempts, 101u);
+}
+
 TEST(Sweep, CycleBudgetClassifiesAsTimedOut)
 {
     SweepOptions options;
@@ -444,6 +462,29 @@ TEST(SweepDeathTest, BadJobsEnvIsFatal)
     EXPECT_EXIT(SweepRunner::defaultJobs(),
                 ::testing::ExitedWithCode(1), "SDSP_BENCH_JOBS");
     unsetenv("SDSP_BENCH_JOBS");
+}
+
+TEST(SweepDeathTest, SecondsBeyondTheClockAreFatal)
+{
+    // 1e300 s overflows the int64 nanoseconds of a deadline, and inf
+    // and nan are no budget at all.
+    for (const char *name :
+         {"SDSP_BENCH_TIMEOUT", "SDSP_BENCH_RETRY_BACKOFF"}) {
+        for (const char *value : {"1e300", "inf", "nan", "-1", "1x"}) {
+            SCOPED_TRACE(std::string(name) + "=" + value);
+            setenv(name, value, 1);
+            EXPECT_EXIT(SweepOptions::fromEnvironment(),
+                        ::testing::ExitedWithCode(1),
+                        std::string(name) + " out of range: ");
+        }
+        setenv(name, "1e9", 1);
+        SweepOptions options = SweepOptions::fromEnvironment();
+        EXPECT_EQ(std::string(name) == "SDSP_BENCH_TIMEOUT"
+                      ? options.timeoutSeconds
+                      : options.retryBackoffSeconds,
+                  1e9);
+        unsetenv(name);
+    }
 }
 
 TEST(Artifacts, RunResultSerializesHeadlineFields)
