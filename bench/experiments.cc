@@ -884,15 +884,15 @@ constexpr double kSpotTolerancePercent = 5.0;
 constexpr double kSpotToleranceCapPercent = 30.0;
 
 /** The projected machine changes, one column each. */
-std::vector<WhatIfProjection>
+std::vector<NamedWhatIf>
 critWhatIfs()
 {
-    std::vector<WhatIfProjection> what_ifs;
+    std::vector<NamedWhatIf> what_ifs;
     for (const char *spec :
          {"issueWidth=16", "suEntries=64", "perfectDCache=1",
           "infiniteStoreBuffer=1", "bypassing=0",
           "issueWidth=16,suEntries=64"}) {
-        WhatIfProjection &what_if = what_ifs.emplace_back();
+        NamedWhatIf &what_if = what_ifs.emplace_back();
         what_if.name = spec;
         std::string error;
         if (!what_if.whatIf.applyKeyValues(spec, &error))
@@ -928,7 +928,7 @@ constexpr SpotCheck kSpotChecks[] = {{"LL1", "suEntries=64"},
 /** The recorded 1- and 4-thread machines, then each spot check's
  *  4-thread machine under its what-if, re-simulated. */
 std::vector<Variant>
-critVariants(const std::vector<WhatIfProjection> &what_ifs)
+critVariants(const std::vector<NamedWhatIf> &what_ifs)
 {
     std::vector<Variant> variants{{"1T", paperConfig(1), true},
                                   {"4T", paperConfig(4), true}};
@@ -959,7 +959,7 @@ reportCritWhatIf(const Experiment &experiment, const ExperimentRun &run)
     std::size_t inexact = 0;
     std::printf("\n%-10s %3s %10s %6s %9s |", "benchmark", "t",
                 "cycles", "exact", "ms/relax");
-    for (const WhatIfProjection &what_if : experiment.whatIfs)
+    for (const NamedWhatIf &what_if : experiment.whatIfs)
         std::printf(" %-12.12s", what_if.name.c_str());
     std::printf("\n");
     for (std::size_t w = 0; w < workloads.size(); ++w) {
@@ -980,10 +980,10 @@ reportCritWhatIf(const Experiment &experiment, const ExperimentRun &run)
                         static_cast<unsigned long long>(
                             run.results[w][v].cycles),
                         "yes", point.meanRelaxMs);
-            for (const WhatIfProjection &projection : point.projections)
+            for (const RelaxResult &projection : point.projections)
                 std::printf(" %-12llu",
                             static_cast<unsigned long long>(
-                                projection.result.cycles));
+                                projection.cycles));
             std::printf("\n");
         }
     }
@@ -1014,9 +1014,9 @@ reportCritWhatIf(const Experiment &experiment, const ExperimentRun &run)
         const PointOutcome &recorded = run.outcomes[w][kCritFourThreads];
         const PointOutcome &real = run.outcomes[w][kCritRecorded + c];
         Check &check = checks.emplace_back();
-        for (const WhatIfProjection &projection : recorded.projections) {
-            if (projection.name == spot.whatIf)
-                check.projected = projection.result.cycles;
+        for (std::size_t i = 0; i < recorded.projections.size(); ++i) {
+            if (experiment.whatIfs[i].name == spot.whatIf)
+                check.projected = recorded.projections[i].cycles;
         }
         if (recorded.status != JobStatus::Ok) {
             check.error = "its recorded point failed";
@@ -1095,13 +1095,14 @@ reportCritWhatIf(const Experiment &experiment, const ExperimentRun &run)
             }
             writer.endObject();
             writer.key("whatIf").beginArray();
-            for (const WhatIfProjection &projection : point.projections) {
-                const Cycle cycles = projection.result.cycles;
+            for (std::size_t i = 0; i < point.projections.size(); ++i) {
+                const RelaxResult &projection = point.projections[i];
+                const Cycle cycles = projection.cycles;
                 writer.beginObject();
-                writer.field("name", projection.name);
+                writer.field("name", experiment.whatIfs[i].name);
                 writer.field("cycles", cycles);
                 writer.field("confidence",
-                             confidenceName(projection.result.confidence));
+                             confidenceName(projection.confidence));
                 writer.field("speedup",
                              cycles ? static_cast<double>(measured) /
                                           static_cast<double>(cycles)
@@ -1140,7 +1141,7 @@ reportCritWhatIf(const Experiment &experiment, const ExperimentRun &run)
 void
 addCritWhatIf(std::vector<Experiment> &registry)
 {
-    std::vector<WhatIfProjection> what_ifs = critWhatIfs();
+    std::vector<NamedWhatIf> what_ifs = critWhatIfs();
     std::vector<Variant> variants = critVariants(what_ifs);
     registry.push_back(
         {"crit_whatif", "Critical-path what-ifs (DESIGN.md section 10)",

@@ -34,10 +34,18 @@ namespace bench
 /** The runs of one experiment: results[workload][variant]. */
 using ExperimentResults = std::vector<std::vector<RunResult>>;
 
+/** A machine change an entry projects its recorded graphs under. */
+struct NamedWhatIf
+{
+    std::string name; //!< its column and JSON name, e.g. "issueWidth=16"
+    WhatIf whatIf;
+};
+
 /**
  * How the sweep classified one point, and for a point of a recorded
- * variant what its dependence graph showed: the graph is relaxed
- * under its entry's what-ifs as the point completes, then released.
+ * variant what its dependence graph showed: the graph's critical path
+ * is walked at baseline and the graph relaxed under its entry's
+ * what-ifs as the point completes, then released.
  */
 struct PointOutcome
 {
@@ -45,10 +53,11 @@ struct PointOutcome
     std::string error;
     std::size_t nodes = 0;
     std::size_t edges = 0;
-    RelaxResult baseline;
-    std::vector<WhatIfProjection> projections;
-    /** Host ms to build and check the graph and relax its baseline,
-     *  and per projection. */
+    CriticalPath baseline;
+    /** One per what-if of the entry, in its order. */
+    std::vector<RelaxResult> projections;
+    /** Host ms to build and check the graph and walk its baseline
+     *  critical path, and per projection. */
     double buildMs = 0.0;
     double meanRelaxMs = 0.0;
 };
@@ -97,10 +106,10 @@ struct Experiment
     std::vector<const Workload *> workloads;
     std::vector<Variant> variants;
     Report report;
-    /** Projected from each recorded variant's graph (results unset).
-     *  An entry with what-ifs reports its failed points itself; any
-     *  other entry prints no tables when a point failed. */
-    std::vector<WhatIfProjection> whatIfs{};
+    /** Projected from each recorded variant's graph. An entry with
+     *  what-ifs reports its failed points itself; any other entry
+     *  prints no tables when a point failed. */
+    std::vector<NamedWhatIf> whatIfs{};
 };
 
 /**

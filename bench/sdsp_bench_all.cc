@@ -127,13 +127,14 @@ computeBounds(const std::vector<GridPoint> &points, unsigned scale)
 }
 
 /**
- * @p outcome as reports read it. A recorded point's graph is relaxed
- * at baseline and under @p what_ifs when an entry projects it, and is
- * released either way, so only the in-flight graphs stay alive.
+ * @p outcome as reports read it. When an entry projects a recorded
+ * point, its graph's critical path is walked at baseline and the graph
+ * relaxed under @p what_ifs; the graph is released either way, so only
+ * the in-flight graphs stay alive.
  */
 PointOutcome
 reduceOutcome(JobOutcome &outcome,
-              const std::vector<WhatIfProjection> *what_ifs)
+              const std::vector<NamedWhatIf> *what_ifs)
 {
     PointOutcome point;
     point.status = outcome.status;
@@ -148,13 +149,13 @@ reduceOutcome(JobOutcome &outcome,
             .count();
     };
     auto start = std::chrono::steady_clock::now();
-    point.baseline = graph->relax(WhatIf{});
+    point.baseline = graph->criticalPath(WhatIf{});
     auto baseline_end = std::chrono::steady_clock::now();
     point.buildMs = outcome.graphSeconds * 1000.0 +
                     milliseconds(start, baseline_end);
-    point.projections = *what_ifs;
-    for (WhatIfProjection &projection : point.projections)
-        projection.result = graph->relax(projection.whatIf);
+    point.projections.reserve(what_ifs->size());
+    for (const NamedWhatIf &what_if : *what_ifs)
+        point.projections.push_back(graph->relax(what_if.whatIf));
     point.meanRelaxMs =
         milliseconds(baseline_end, std::chrono::steady_clock::now()) /
         static_cast<double>(what_ifs->size());
@@ -316,7 +317,7 @@ main(int argc, char **argv)
 
     // The what-ifs each recorded point is projected under: those of
     // the selected entry whose recorded variant it is.
-    std::vector<const std::vector<WhatIfProjection> *> what_ifs(
+    std::vector<const std::vector<NamedWhatIf> *> what_ifs(
         points.size(), nullptr);
     for (const SelectedExperiment &selected : selection.experiments) {
         const Experiment &experiment = *selected.experiment;

@@ -1,6 +1,7 @@
 #include "core/processor.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "isa/semantics.hh"
@@ -167,6 +168,8 @@ Processor::commitStage()
             continue;
         sdsp_assert(entry.state == EntryState::Done,
                     "committing an incomplete entry");
+        if (entry.badAddress)
+            commitFault(entry);
         max_seq = std::max(max_seq, entry.seq);
 
         if (entry.inst.writesRd())
@@ -264,6 +267,29 @@ Processor::commitStage()
     }
 
     su.removeBlock(selection.blockIndex);
+}
+
+namespace
+{
+
+/** A load or store committed at a misaligned or out-of-range address:
+ *  thrown out of step(), caught by run(). */
+struct CommitFault : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+} // namespace
+
+void
+Processor::commitFault(const SuEntry &entry) const
+{
+    // Before the block's stores are released to the drain: the store
+    // never reaches memory.
+    throw CommitFault(format(
+        "thread %u at pc %u: %s", unsigned{entry.tid}, entry.pc,
+        badAccessText(entry.inst.isStore(), effectiveAddress(entry))
+            .c_str()));
 }
 
 // --------------------------------------------------------------------
@@ -458,9 +484,12 @@ Processor::tryIssue(SuEntry &entry)
             }
             // Loads on a speculative wrong path can carry garbage
             // addresses; they read a dummy value and are squashed
-            // before commit.
-            bool in_bounds = addr % 8 == 0 && wordInRange(addr, mem.size());
-            entry.result = in_bounds ? mem.read(addr) : 0;
+            // before commit. One that commits stops the run
+            // (commitFault). A forwarded load needs no check: the
+            // older store it reads commits, and faults, first.
+            entry.badAddress =
+                addr % 8 != 0 || !wordInRange(addr, mem.size());
+            entry.result = entry.badAddress ? 0 : mem.read(addr);
         }
     } else if (inst.isStore()) {
         // A slot stays reserved for every unbuffered store at or
@@ -478,6 +507,9 @@ Processor::tryIssue(SuEntry &entry)
             return false;
         }
         Addr addr = effectiveAddress(entry);
+        // As for loads: the store buffer holds a wrong-path store at
+        // any address, and one that commits stops the run.
+        entry.badAddress = addr % 8 != 0 || !wordInRange(addr, mem.size());
         sb.insert(entry.seq, entry.tid, addr, entry.src2.value);
         su.markStoreBuffered(entry);
     }
@@ -791,15 +823,20 @@ Processor::run(std::optional<Deadline> deadline)
     // Without a deadline the first slice runs to the cycle cap.
     const Cycle slice = deadline ? kDeadlineCheckCycles : cfg.maxCycles;
     bool timed_out = false;
-    while (!done() && now < cfg.maxCycles) {
-        Cycle slice_end = now + std::min(slice, cfg.maxCycles - now);
-        while (!done() && now < slice_end)
-            step();
-        if (deadline && !done() &&
-            std::chrono::steady_clock::now() >= *deadline) {
-            timed_out = true;
-            break;
+    std::string fault;
+    try {
+        while (!done() && now < cfg.maxCycles) {
+            Cycle slice_end = now + std::min(slice, cfg.maxCycles - now);
+            while (!done() && now < slice_end)
+                step();
+            if (deadline && !done() &&
+                std::chrono::steady_clock::now() >= *deadline) {
+                timed_out = true;
+                break;
+            }
         }
+    } catch (const CommitFault &stopped) {
+        fault = stopped.what();
     }
 
     finishTrace();
@@ -807,6 +844,7 @@ Processor::run(std::optional<Deadline> deadline)
     SimResult result;
     result.finished = done();
     result.timedOut = timed_out;
+    result.fault = std::move(fault);
     result.cycles = now;
     result.committedInstructions = statCommitted;
     return result;

@@ -28,6 +28,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "branch/predictor_bank.hh"
@@ -128,6 +129,10 @@ struct SimResult
     /** The wall-clock deadline given to Processor::run() stopped the
      *  run before it finished. */
     bool timedOut = false;
+    /** Why a fault stopped the run before it finished, in the
+     *  interpreter's words ("thread 0 at pc 2: misaligned or
+     *  out-of-bounds store at 0xff00000"); empty when none did. */
+    std::string fault;
     Cycle cycles = 0;
     std::uint64_t committedInstructions = 0;
     double
@@ -168,17 +173,23 @@ class Processor
     /** Host instant after which run() stops stepping. */
     using Deadline = std::chrono::steady_clock::time_point;
 
-    /** Advance one cycle. */
+    /**
+     * Advance one cycle. A load or store that commits at a misaligned
+     * or out-of-range address throws std::runtime_error with the
+     * text run() reports as SimResult::fault.
+     */
     void step();
 
     /**
      * Run to completion (all threads halted, pipeline drained), to
-     * the configured cycle cap, or until the wall clock passes
-     * @p deadline, whichever comes first. The clock is read once
-     * every kDeadlineCheckCycles cycles, and never without a
-     * deadline. Closes any stall span still open on the trace sink.
-     * @return The aggregate result: finished=false on the cycle cap
-     *         or the deadline, timedOut=true on the deadline.
+     * the configured cycle cap, until the wall clock passes
+     * @p deadline, or until a load or store commits at a misaligned
+     * or out-of-range address, whichever comes first. The clock is
+     * read once every kDeadlineCheckCycles cycles, and never without
+     * a deadline. Closes any stall span still open on the trace sink.
+     * @return The aggregate result: finished=false on the cycle cap,
+     *         the deadline or a fault, timedOut=true on the deadline,
+     *         fault set on a fault.
      */
     SimResult run(std::optional<Deadline> deadline = std::nullopt);
 
@@ -303,6 +314,9 @@ class Processor
     void finishTrace();
 
     void commitStage();
+    /** Throw the fault of @p entry, a load or store that commits at a
+     *  misaligned or out-of-range address. */
+    [[noreturn]] void commitFault(const SuEntry &entry) const;
     void writebackStage();
     void issueStage();
     void dispatchStage();

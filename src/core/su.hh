@@ -101,6 +101,9 @@ struct SuEntry
     EntryState state = EntryState::Waiting;
     bool storeBuffered = false; //!< store deposited in store buffer
                                 //!< (set via markStoreBuffered)
+    /** Load or store issued at a misaligned or out-of-range address:
+     *  squashed on a wrong path, a fault if it commits. */
+    bool badAddress = false;
     Tag seq = 0;                //!< unique renaming tag / age
 
     // ---- Links, managed by the SchedulingUnit. A waiter link

@@ -984,7 +984,8 @@ DdgGraph::relaxTimes(const Resolved &r, std::int64_t *time) const
             // baseline orderings under the projected capacities. A
             // capacity DECREASE can ask for a source that is not
             // topologically earlier; such edges are skipped and
-            // counted, and relax() tags the result pessimistic-bound.
+            // counted, and classifyWhatIf() tags the projection
+            // pessimistic-bound.
             std::uint32_t from = 0;
             if (const auto *cap = capacityEdge(p, r, from)) {
                 if (from < p)
@@ -1002,7 +1003,7 @@ DdgGraph::relaxTimes(const Resolved &r, std::int64_t *time) const
 
 void
 DdgGraph::walkCriticalPath(const Resolved &r, const std::int64_t *time,
-                           RelaxResult &result) const
+                           CriticalPath &path) const
 {
     // Walk back from End, re-deriving at each node the edge that set
     // its time, and charge that edge's weight to its class. The
@@ -1052,8 +1053,8 @@ DdgGraph::walkCriticalPath(const Resolved &r, const std::int64_t *time,
                         static_cast<long long>(time[cur]));
             if (!taken)
                 break; // time 0 with no incoming edge
-            result.breakdown[argCls] += static_cast<Cycle>(argWeight);
-            ++result.edgeCounts[argCls];
+            path.breakdown[argCls] += static_cast<Cycle>(argWeight);
+            ++path.edgeCounts[argCls];
             cur = argSrc;
         }
     };
@@ -1076,17 +1077,34 @@ classifyWhatIf(const WhatIf &what_if, const MachineConfig &config)
 }
 
 RelaxResult
+DdgGraph::project(const WhatIf &what_if, const Resolved &r,
+                  std::int64_t *time) const
+{
+    RelaxResult result;
+    result.skippedCapacityEdges = relaxTimes(r, time);
+    result.cycles = static_cast<Cycle>(time[nodes_.size() - 1]);
+    result.confidence = classifyWhatIf(what_if, cfg_);
+    return result;
+}
+
+RelaxResult
 DdgGraph::relax(const WhatIf &what_if) const
+{
+    const auto time =
+        std::make_unique_for_overwrite<std::int64_t[]>(nodes_.size());
+    return project(what_if, resolve(what_if), time.get());
+}
+
+CriticalPath
+DdgGraph::criticalPath(const WhatIf &what_if) const
 {
     const Resolved r = resolve(what_if);
     const auto time =
         std::make_unique_for_overwrite<std::int64_t[]>(nodes_.size());
-    RelaxResult result;
-    result.skippedCapacityEdges = relaxTimes(r, time.get());
-    result.cycles = static_cast<Cycle>(time[nodes_.size() - 1]);
-    result.confidence = classifyWhatIf(what_if, cfg_);
-    walkCriticalPath(r, time.get(), result);
-    return result;
+    CriticalPath path;
+    static_cast<RelaxResult &>(path) = project(what_if, r, time.get());
+    walkCriticalPath(r, time.get(), path);
+    return path;
 }
 
 std::string

@@ -23,7 +23,9 @@
  *     pre-pass, then visits the nodes in that order and appends each
  *     node's in-edges straight into the CSR.
  *  3. relax() computes every node's earliest time by one times-only
- *     pass in a fixed topological order, then walks the critical
+ *     pass in a fixed topological order and returns the projection:
+ *     End's time, its trust class and the capacity edges it skipped.
+ *     criticalPath() runs the same pass, then walks the critical
  *     path back from End, re-deriving each visited node's binding
  *     edge from its in-edges to build the per-class breakdown. Both
  *     read the graph as relaxation needs it: per edge its source and
@@ -46,7 +48,9 @@
  *     indexed by the edge word's code, so every edge's weight is its
  *     word's weight plus one table lookup. The pass and the walk test
  *     the D-cache mode once each: only under a perfect D-cache do
- *     they read the edges' miss cycles, to subtract them.
+ *     they read the edges' miss cycles, to subtract them. A caller
+ *     that reads only the projected cycles calls relax() and skips
+ *     the walk, about a third of criticalPath()'s time.
  *
  * See DESIGN.md §10 for the node/edge taxonomy and the soundness
  * argument per edge class.
@@ -197,7 +201,7 @@ struct AppliedWhatIf
  * every recorded constraint that remains. Capacity DECREASES re-use
  * the baseline event order, drop every dynamic constraint whose
  * rewired source is not topologically earlier, and can come out far
- * below reality — every RelaxResult carries a Confidence tag making
+ * below reality — every projection carries a Confidence tag making
  * the distinction explicit. See DESIGN.md §10.
  */
 struct WhatIf
@@ -340,22 +344,27 @@ inline constexpr unsigned kNumEdgeClasses = 24;
 /** Stable camelCase name of @p cls (stats / JSON key). */
 const char *edgeClassName(EdgeClass cls);
 
-/** Result of one relaxation. */
+/** One relaxation's projection (relax()). */
 struct RelaxResult
 {
     /** Longest-path length == projected run cycles. Equals the
      *  measured cycle count exactly under baseline parameters. */
     Cycle cycles = 0;
-    /** Critical-path cycles by edge class; sums to `cycles`. */
-    std::array<Cycle, kNumEdgeClasses> breakdown{};
-    /** Critical-path edge count by class. */
-    std::array<std::uint64_t, kNumEdgeClasses> edgeCounts{};
     /** Trust class of this projection (see Confidence). */
     Confidence confidence = Confidence::Exact;
     /** Dynamic capacity constraints skipped because a capacity
      *  decrease rewired them to a non-earlier source — the evidence
      *  behind a PessimisticBound tag. */
     std::uint64_t skippedCapacityEdges = 0;
+};
+
+/** A projection and the critical path behind it (criticalPath()). */
+struct CriticalPath : RelaxResult
+{
+    /** Critical-path cycles by edge class; sums to `cycles`. */
+    std::array<Cycle, kNumEdgeClasses> breakdown{};
+    /** Critical-path edge count by class. */
+    std::array<std::uint64_t, kNumEdgeClasses> edgeCounts{};
 };
 
 /**
@@ -411,9 +420,20 @@ class DdgGraph
     DdgGraph(const DdgTrace &trace, const MachineConfig &config,
              Cycle measured_cycles);
 
-    /** Project the run under @p what_if (pass a default WhatIf for
-     *  the baseline, which reproduces the measured cycles). */
+    /**
+     * Project the run under @p what_if (pass a default WhatIf for
+     * the baseline, which reproduces the measured cycles): one
+     * forward pass over the graph, and no critical-path walk.
+     */
     RelaxResult relax(const WhatIf &what_if) const;
+
+    /**
+     * relax(), then walk the critical path back from End to charge
+     * each binding edge to its class. The walk asserts that it
+     * re-derives every visited node's time. Its projection fields
+     * equal relax()'s.
+     */
+    CriticalPath criticalPath(const WhatIf &what_if) const;
 
     /**
      * Baseline self-check: relax with baseline parameters and
@@ -517,19 +537,24 @@ class DdgGraph
                                            std::uint32_t &src) const;
 
     /**
-     * The times-only longest-path pass shared by relax() and
-     * verifyExact(): writes every node's time to @p time (nodeCount()
-     * entries) in topological order. @return the dynamic capacity
-     * constraints skipped because a capacity decrease rewired them to
-     * a non-earlier source.
+     * The times-only longest-path pass shared by relax(),
+     * criticalPath() and verifyExact(): writes every node's time to
+     * @p time (nodeCount() entries) in topological order. @return the
+     * dynamic capacity constraints skipped because a capacity
+     * decrease rewired them to a non-earlier source.
      */
     std::uint64_t relaxTimes(const Resolved &r,
                              std::int64_t *time) const;
 
+    /** relaxTimes() under @p r, @p what_if resolved, into @p time,
+     *  and the projection it makes. */
+    RelaxResult project(const WhatIf &what_if, const Resolved &r,
+                        std::int64_t *time) const;
+
     /** Walk the critical path back from End over the relaxed
-     *  @p time, charging each binding edge to @p result. */
+     *  @p time, charging each binding edge to @p path. */
     void walkCriticalPath(const Resolved &r, const std::int64_t *time,
-                          RelaxResult &result) const;
+                          CriticalPath &path) const;
 
     MachineConfig cfg_;
     Cycle measured_ = 0;

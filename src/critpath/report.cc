@@ -8,7 +8,7 @@ namespace sdsp
 
 void
 critpathReportStats(const DdgGraph &graph,
-                    const RelaxResult &baseline,
+                    const CriticalPath &baseline,
                     StatsRegistry &registry)
 {
     registry.add("critpath.cycles",
@@ -41,7 +41,7 @@ namespace
 {
 
 void
-writeBreakdown(JsonWriter &w, const RelaxResult &result)
+writeBreakdown(JsonWriter &w, const CriticalPath &result)
 {
     w.key("breakdown").beginObject();
     for (unsigned c = 0; c < kNumEdgeClasses; ++c) {
@@ -60,7 +60,7 @@ writeBreakdown(JsonWriter &w, const RelaxResult &result)
 
 std::string
 critpathJson(const std::string &workload, const DdgGraph &graph,
-             const RelaxResult &baseline,
+             const CriticalPath &baseline,
              const std::vector<WhatIfProjection> &projections)
 {
     const MachineConfig &config = graph.config();

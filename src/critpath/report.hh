@@ -16,12 +16,13 @@
 namespace sdsp
 {
 
-/** One named what-if projection for reporting. */
+/** One named what-if projection and its critical path, for
+ *  reporting. */
 struct WhatIfProjection
 {
     std::string name; //!< e.g. "issueWidth=16,perfectDCache=1"
     WhatIf whatIf;
-    RelaxResult result;
+    CriticalPath result;
 };
 
 /**
@@ -31,7 +32,7 @@ struct WhatIfProjection
  * (critpath.slack.<class>).
  */
 void critpathReportStats(const DdgGraph &graph,
-                         const RelaxResult &baseline,
+                         const CriticalPath &baseline,
                          StatsRegistry &registry);
 
 /**
@@ -42,7 +43,7 @@ void critpathReportStats(const DdgGraph &graph,
  */
 std::string critpathJson(const std::string &workload,
                          const DdgGraph &graph,
-                         const RelaxResult &baseline,
+                         const CriticalPath &baseline,
                          const std::vector<WhatIfProjection> &
                              projections);
 

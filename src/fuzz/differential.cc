@@ -29,7 +29,7 @@ failure(std::string kind, std::string detail)
 }
 
 Cycle
-breakdownSum(const RelaxResult &result)
+breakdownSum(const CriticalPath &result)
 {
     Cycle sum = 0;
     for (Cycle cycles : result.breakdown)
@@ -249,7 +249,7 @@ runDifferential(const Program &program, const MachineConfig &config,
     const DdgGraph &graph = *checked.graph;
     std::string inexact = std::move(checked.mismatch);
     if (inexact.empty()) {
-        RelaxResult baseline = graph.relax(WhatIf{});
+        CriticalPath baseline = graph.criticalPath(WhatIf{});
         if (baseline.cycles != result.sim.cycles ||
             breakdownSum(baseline) != baseline.cycles) {
             inexact = format(
@@ -280,7 +280,7 @@ runDifferential(const Program &program, const MachineConfig &config,
     WhatIf decrease;
     decrease.suEntries = run_config.blockSize;
     for (const WhatIf *what_if : {&increase, &reweight, &decrease}) {
-        RelaxResult projected = graph.relax(*what_if);
+        CriticalPath projected = graph.criticalPath(*what_if);
         std::string why;
         if (breakdownSum(projected) != projected.cycles) {
             why = format("breakdown sums to %llu",

@@ -71,7 +71,9 @@ runLimited(const Workload &workload, const MachineConfig &config,
         result.verified = false;
         bool over_budget =
             cycle_budgeted && sim.cycles >= effective.maxCycles;
-        if (sim.timedOut) {
+        if (!sim.fault.empty()) {
+            result.verifyMessage = sim.fault;
+        } else if (sim.timedOut) {
             result.verifyMessage = format(
                 "wall-clock budget (%.3f s) exceeded at cycle %llu",
                 limits.timeoutSeconds,

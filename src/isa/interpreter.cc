@@ -127,18 +127,14 @@ Interpreter::stepThread(ThreadId tid)
     } else if (inst.isLoad()) {
         Addr addr = evalEffectiveAddress(inst, s1);
         if (addr % 8 != 0 || !wordInRange(addr, mem.size())) {
-            fault(tid, format("misaligned or out-of-bounds load at "
-                              "0x%x",
-                              addr));
+            fault(tid, badAccessText(false, addr));
             return;
         }
         setReg(tid, inst.rd, readWord(mem, addr));
     } else if (inst.isStore()) {
         Addr addr = evalEffectiveAddress(inst, s1);
         if (addr % 8 != 0 || !wordInRange(addr, mem.size())) {
-            fault(tid, format("misaligned or out-of-bounds store at "
-                              "0x%x",
-                              addr));
+            fault(tid, badAccessText(true, addr));
             return;
         }
         writeWord(mem, addr, s2);

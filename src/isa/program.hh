@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -85,6 +86,18 @@ inline bool
 wordInRange(Addr addr, std::size_t size)
 {
     return std::uint64_t{addr} + 8 <= size;
+}
+
+/**
+ * Why an 8-byte load (or, with @p store, store) at @p addr faults when
+ * the address is misaligned or outside memory: the interpreter reports
+ * it, and the pipeline when such an access commits.
+ */
+inline std::string
+badAccessText(bool store, Addr addr)
+{
+    return format("misaligned or out-of-bounds %s at 0x%x",
+                  store ? "store" : "load", addr);
 }
 
 /** Read a 64-bit little-endian word from a byte buffer. */

@@ -47,9 +47,10 @@ printRunSummary(std::ostream &out, const MachineConfig &config,
 {
     out << "machine   : " << config.toString() << "\n";
     out << "finished  : "
-        << (sim.finished ? "yes"
-                         : sim.timedOut ? "NO (wall-clock timeout)"
-                                        : "NO (cycle cap)")
+        << (sim.finished          ? "yes"
+            : !sim.fault.empty() ? "NO (" + sim.fault + ")"
+            : sim.timedOut       ? "NO (wall-clock timeout)"
+                                 : "NO (cycle cap)")
         << "\n";
     out << "cycles    : " << sim.cycles << "\n";
     out << "committed : " << sim.committedInstructions << "\n";
@@ -228,7 +229,7 @@ millisecondsSince(std::chrono::steady_clock::time_point start)
 /** The critical path's per-class breakdown, longest first, with the
  *  edges of each class. */
 void
-printBreakdown(std::ostream &out, const RelaxResult &result)
+printBreakdown(std::ostream &out, const CriticalPath &result)
 {
     std::array<unsigned, kNumEdgeClasses> order;
     std::iota(order.begin(), order.end(), 0u);
@@ -292,7 +293,7 @@ reportCritpath(const CliOptions &options, const DdgRecorder &ddg,
         return false;
     }
     const DdgGraph &graph = *checked.graph;
-    const RelaxResult baseline = graph.relax(WhatIf{});
+    const CriticalPath baseline = graph.criticalPath(WhatIf{});
     out << format("critpath  : %llu cycles (exact), %zu nodes, %zu "
                   "edges (built+relaxed in %.1f ms)\n",
                   static_cast<unsigned long long>(baseline.cycles),
@@ -308,7 +309,7 @@ reportCritpath(const CliOptions &options, const DdgRecorder &ddg,
         projection.whatIf = what_if;
         projection.name = what_if.describe(config);
         auto relax_start = std::chrono::steady_clock::now();
-        projection.result = graph.relax(what_if);
+        projection.result = graph.criticalPath(what_if);
         const Cycle cycles = projection.result.cycles;
         out << format("what-if %-32s : %llu cycles (%.3fx, %.1f ms) "
                       "[%s]\n",
@@ -587,7 +588,7 @@ runProgram(const CliOptions &options, const ProgramRun &run,
         out << "\n" << registry.toString();
         printStallTable(out, cpu, config, sim.cycles);
     }
-    if (failed)
+    if (failed || !sim.fault.empty())
         return 1;
     if (sim.finished)
         return 0;

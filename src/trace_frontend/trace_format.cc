@@ -611,6 +611,25 @@ handleEnd(ReadState &state, const JsonValue &record, unsigned line)
     return true;
 }
 
+/** The bytes left to read in @p in when its buffer can seek (a
+ *  string, a regular file), else 0 (a pipe). The read position does
+ *  not move. */
+std::size_t
+remainingBytes(std::istream &in)
+{
+    std::streambuf *buf = in.rdbuf();
+    if (!buf)
+        return 0;
+    const std::streampos here =
+        buf->pubseekoff(0, std::ios::cur, std::ios::in);
+    if (here == std::streampos(-1))
+        return 0;
+    const std::streampos end =
+        buf->pubseekoff(0, std::ios::end, std::ios::in);
+    buf->pubseekpos(here, std::ios::in);
+    return end > here ? static_cast<std::size_t>(end - here) : 0;
+}
+
 } // namespace
 
 TraceReadResult
@@ -618,8 +637,10 @@ readTrace(std::istream &in)
 {
     ReadState state;
 
-    // One pass over the stream into one buffer; lines are views of it.
+    // One pass over the stream into one buffer, sized once when the
+    // stream can tell how much is left; lines are views of it.
     std::string text;
+    text.reserve(remainingBytes(in));
     {
         char chunk[1 << 16];
         while (in.read(chunk, sizeof chunk) || in.gcount() > 0)

@@ -29,8 +29,9 @@
  * The reader never crashes on malformed input: every failure mode is
  * a named TraceErrorKind with the 1-based line it was detected on.
  *
- * Reading cost: readTrace reads the stream once into one buffer and
- * walks its lines in place. A fast path parses exactly the `inst`
+ * Reading cost: readTrace reads the stream once into one buffer,
+ * sized up front when the stream can seek (a string or a regular
+ * file; a pipe grows it as it reads), and walks its lines in place. A fast path parses exactly the `inst`
  * layout TraceRecorder writes, `{"kind":"inst","tid":N,"pc":N,
  * "word":N[,"addr":N][,"taken":true|false]}`, with the generic
  * reader's checks. Any other line, and any line the fast path would

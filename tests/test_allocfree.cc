@@ -13,8 +13,9 @@
  *
  * The dependence-graph build is held to a byte budget instead: it may
  * allocate, beyond the graph it returns, at most as many bytes as
- * that graph holds. A relaxation of the built graph, and its exactness
- * check, allocate one array of node times and nothing else.
+ * that graph holds. A relaxation of the built graph, its critical-path
+ * walk and its exactness check each allocate one array of node times
+ * and nothing else.
  *
  * The global operator new of this binary counts allocations and their
  * bytes while a flag is set; the flag is only set around the measured
@@ -284,10 +285,11 @@ TEST(AllocFree, GraphBuildStaysWithinTheGraphsOwnBytes)
 
 TEST(AllocFree, RelaxAllocatesOnlyItsTimeArray)
 {
-    // Every capacity kind and both D-cache modes: each relaxation
-    // resolves its what-if on the stack and allocates the one array
-    // its times go in — also against a recording whose config holds
-    // fetch weights, which a copy of the config would allocate.
+    // Every capacity kind and both D-cache modes: each relaxation,
+    // with or without its critical-path walk, resolves its what-if on
+    // the stack and allocates the one array its times go in — also
+    // against a recording whose config holds fetch weights, which a
+    // copy of the config would allocate.
     MachineConfig weighted = machine(4);
     weighted.fetchPolicy = FetchPolicy::WeightedRoundRobin;
     weighted.fetchWeights = {2, 1, 1, 1};
@@ -314,9 +316,18 @@ TEST(AllocFree, RelaxAllocatesOnlyItsTimeArray)
             g_allocs = 0;
             g_bytes = 0;
             g_counting = true;
-            const RelaxResult result = graph.relax(what_if);
+            const RelaxResult projection = graph.relax(what_if);
             g_counting = false;
-            EXPECT_GT(result.cycles, 0u);
+            EXPECT_GT(projection.cycles, 0u);
+            EXPECT_EQ(g_allocs, 1u);
+            EXPECT_EQ(g_bytes, timeBytes);
+
+            g_allocs = 0;
+            g_bytes = 0;
+            g_counting = true;
+            const CriticalPath path = graph.criticalPath(what_if);
+            g_counting = false;
+            EXPECT_EQ(path.cycles, projection.cycles);
             EXPECT_EQ(g_allocs, 1u);
             EXPECT_EQ(g_bytes, timeBytes);
         }

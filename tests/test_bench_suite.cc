@@ -286,9 +286,9 @@ critRun(const bench::Experiment &crit, Cycle cycles)
                 continue;
             bench::PointOutcome &point = run.outcomes[w][v];
             point.baseline.cycles = cycles;
-            point.projections = crit.whatIfs;
-            for (WhatIfProjection &projection : point.projections)
-                projection.result.cycles = cycles;
+            point.projections.resize(crit.whatIfs.size());
+            for (RelaxResult &projection : point.projections)
+                projection.cycles = cycles;
         }
     }
     return run;

@@ -163,8 +163,8 @@ TEST(Critpath, BaselineWhatIfIsBitExact)
     explicit_baseline.bypassing = run.config.bypassing ? 1 : 0;
     ASSERT_TRUE(explicit_baseline.isBaseline(run.config));
 
-    RelaxResult implicit = graph.relax(WhatIf{});
-    RelaxResult explicit_r = graph.relax(explicit_baseline);
+    CriticalPath implicit = graph.criticalPath(WhatIf{});
+    CriticalPath explicit_r = graph.criticalPath(explicit_baseline);
     EXPECT_EQ(implicit.cycles, run.cycles);
     EXPECT_EQ(explicit_r.cycles, run.cycles);
     for (unsigned c = 0; c < kNumEdgeClasses; ++c)
@@ -183,7 +183,7 @@ TEST(Critpath, BreakdownSumsToCriticalPath)
                                    return w;
                                }()};
     for (const WhatIf &what_if : what_ifs) {
-        RelaxResult result = graph.relax(what_if);
+        CriticalPath result = graph.criticalPath(what_if);
         Cycle sum = 0;
         for (unsigned c = 0; c < kNumEdgeClasses; ++c)
             sum += result.breakdown[c];
@@ -331,13 +331,27 @@ fnv1a(std::uint64_t &hash, std::uint64_t value)
 /** The FNV-1a offset basis: the hash of no bytes. */
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
+/** @p graph's critical path under @p what_if, after checking that
+ *  relax() makes the same projection without walking it. */
+CriticalPath
+checkedCriticalPath(const DdgGraph &graph, const WhatIf &what_if)
+{
+    const CriticalPath path = graph.criticalPath(what_if);
+    const RelaxResult projection = graph.relax(what_if);
+    EXPECT_EQ(projection.cycles, path.cycles);
+    EXPECT_EQ(projection.confidence, path.confidence);
+    EXPECT_EQ(projection.skippedCapacityEdges, path.skippedCapacityEdges);
+    return path;
+}
+
 TEST(Critpath, NonBaselineProjectionsArePinned)
 {
     // Cycles, skipped capacity edges, breakdown and edge counts of a
-    // spread of non-baseline projections — capacity increases and
+    // spread of non-baseline critical paths — capacity increases and
     // decreases, re-weightings, dropped residual classes — pinned as
-    // literals, so a change to the relaxation kernel cannot move a
-    // projection unnoticed.
+    // literals, so a change to the relaxation kernel or the walk
+    // cannot move a projection unnoticed; relax() projects each the
+    // same.
     const MachineConfig cfg = gridConfig(4);
     std::vector<WhatIf> what_ifs;
     for (const LatticePoint &point :
@@ -384,10 +398,12 @@ TEST(Critpath, NonBaselineProjectionsArePinned)
         DdgGraph graph(run.trace, run.config, run.cycles);
         ASSERT_EQ(pinned->size(), what_ifs.size());
         for (std::size_t i = 0; i < what_ifs.size(); ++i) {
-            RelaxResult result = graph.relax(what_ifs[i]);
             const std::string where =
                 std::string(benchmark) + " " +
                 what_ifs[i].describe(cfg);
+            SCOPED_TRACE(where);
+            const CriticalPath result =
+                checkedCriticalPath(graph, what_ifs[i]);
             EXPECT_EQ(result.cycles, (*pinned)[i].cycles) << where;
             EXPECT_EQ(result.skippedCapacityEdges,
                       (*pinned)[i].skipped)
@@ -403,10 +419,11 @@ TEST(Critpath, NonBaselineProjectionsArePinned)
 
 TEST(Critpath, LatticeProjectionsArePinned)
 {
-    // Every RelaxResult field of every 7th point of the full lattice
-    // against three recordings. Seven is prime to every axis size, so
-    // the 494 points take every axis value: both D-cache modes, wider
-    // and narrower issue, deeper and shallower SUs.
+    // Every CriticalPath field of every 7th point of the full lattice
+    // against three recordings, and relax()'s projection of each.
+    // Seven is prime to every axis size, so the 494 points take every
+    // axis value: both D-cache modes, wider and narrower issue, deeper
+    // and shallower SUs.
     const MachineConfig cfg = gridConfig(4);
     const std::vector<LatticePoint> lattice =
         buildLattice(LatticeAxes::full(), cfg);
@@ -432,7 +449,8 @@ TEST(Critpath, LatticeProjectionsArePinned)
         std::uint64_t digest = kFnvBasis;
         std::uint64_t perfect = 0, pessimistic = 0, skipped = 0;
         for (const WhatIf &what_if : what_ifs) {
-            const RelaxResult result = graph.relax(what_if);
+            const CriticalPath result =
+                checkedCriticalPath(graph, what_if);
             fnv1a(digest, result.cycles);
             for (unsigned c = 0; c < kNumEdgeClasses; ++c) {
                 fnv1a(digest, result.breakdown[c]);
@@ -479,10 +497,10 @@ graphDigest(const DdgGraph &graph)
     return hash;
 }
 
-/** Digest of @p graph relaxed under a smaller SU and a narrower
- *  issue: their rewired capacity edges read both baseline orderings
- *  (commit and issue order) at the rank in each Dispatch and Issue
- *  node's capacity word. */
+/** Digest of @p graph's critical paths under a smaller SU and a
+ *  narrower issue: their rewired capacity edges read both baseline
+ *  orderings (commit and issue order) at the rank in each Dispatch
+ *  and Issue node's capacity word. relax() projects each the same. */
 std::uint64_t
 relaxDigest(const DdgGraph &graph)
 {
@@ -491,7 +509,7 @@ relaxDigest(const DdgGraph &graph)
         WhatIf what_if;
         std::string error;
         EXPECT_TRUE(what_if.applyKeyValue(spec, &error)) << error;
-        const RelaxResult result = graph.relax(what_if);
+        const CriticalPath result = checkedCriticalPath(graph, what_if);
         fnv1a(hash, result.cycles);
         fnv1a(hash, result.skippedCapacityEdges);
         for (unsigned c = 0; c < kNumEdgeClasses; ++c) {
@@ -817,7 +835,7 @@ TEST(Critpath, StatsRegistryExport)
 {
     Recorded run = record("LL1", gridConfig(1));
     DdgGraph graph(run.trace, run.config, run.cycles);
-    RelaxResult baseline = graph.relax(WhatIf{});
+    CriticalPath baseline = graph.criticalPath(WhatIf{});
 
     StatsRegistry stats;
     critpathReportStats(graph, baseline, stats);
@@ -839,12 +857,12 @@ TEST(Critpath, JsonReportShape)
 {
     Recorded run = record("Matrix", gridConfig(4));
     DdgGraph graph(run.trace, run.config, run.cycles);
-    RelaxResult baseline = graph.relax(WhatIf{});
+    CriticalPath baseline = graph.criticalPath(WhatIf{});
 
     WhatIfProjection projection;
     projection.name = "issueWidth=16";
     projection.whatIf.issueWidth = 16;
-    projection.result = graph.relax(projection.whatIf);
+    projection.result = graph.criticalPath(projection.whatIf);
 
     std::string json =
         critpathJson("Matrix", graph, baseline, {projection});

@@ -315,8 +315,8 @@ TEST(Explore, RecordedSweepIsTheSameAtAnyJobCount)
                   serial[i].graph->nodeCount());
         EXPECT_EQ(parallel[i].graph->edgeCount(),
                   serial[i].graph->edgeCount());
-        const RelaxResult a = serial[i].graph->relax(WhatIf{});
-        const RelaxResult b = parallel[i].graph->relax(WhatIf{});
+        const CriticalPath a = serial[i].graph->criticalPath(WhatIf{});
+        const CriticalPath b = parallel[i].graph->criticalPath(WhatIf{});
         EXPECT_EQ(a.cycles, serial[i].measured);
         EXPECT_EQ(b.cycles, a.cycles);
         EXPECT_EQ(b.breakdown, a.breakdown);

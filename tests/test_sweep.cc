@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "asm/assembler.hh"
 #include "harness/artifacts.hh"
 #include "harness/sweep.hh"
 
@@ -189,6 +190,53 @@ TEST(Sweep, TwoFailingJobsAreBothObservable)
         EXPECT_EQ(outcomes[3].status, JobStatus::Failed);
         EXPECT_EQ(outcomes[3].error, "second deliberate failure");
     }
+}
+
+/** A workload whose program stores past the end of memory. */
+class OutOfRangeStoreWorkload : public Workload
+{
+  public:
+    std::string name() const override { return "OutOfRangeStore"; }
+    BenchmarkGroup
+    group() const override
+    {
+        return BenchmarkGroup::GroupII;
+    }
+    WorkloadImage
+    build(unsigned num_threads, unsigned) const override
+    {
+        WorkloadImage image;
+        image.name = name();
+        image.numThreads = num_threads;
+        image.program =
+            assemble("ldi r1, 255\nslli r1, r1, 20\nst r1, 0(r1)\nhalt\n")
+                .program;
+        image.verify = [](const MainMemory &) {
+            return VerifyResult::pass();
+        };
+        return image;
+    }
+};
+
+TEST(Sweep, CommittedOutOfRangeStoreFailsItsPoint)
+{
+    // The committed store stops the run with the interpreter's text,
+    // and the point fails without a retry: the fault would repeat.
+    SweepOptions options;
+    options.retries = 1;
+    options.retryBackoffSeconds = 0.0;
+    OutOfRangeStoreWorkload bad;
+    SweepRunner runner(1, options);
+    runner.add(bad, MachineConfig{}, 10);
+    runner.add(workloadByName("Sieve"), MachineConfig{}, 10);
+    std::vector<JobOutcome> outcomes = runner.runAll();
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(outcomes[0].status, JobStatus::Failed);
+    EXPECT_EQ(outcomes[0].error, "thread 0 at pc 2: misaligned or "
+                                 "out-of-bounds store at 0xff00000");
+    EXPECT_FALSE(outcomes[0].result.finished);
+    EXPECT_EQ(outcomes[0].attempts, 1u);
+    EXPECT_EQ(outcomes[1].status, JobStatus::Ok);
 }
 
 TEST(Sweep, RetryRecoversTransientThrow)

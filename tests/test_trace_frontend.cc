@@ -6,11 +6,14 @@
  * TraceError, never a crash.
  */
 
+#include <algorithm>
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -616,6 +619,66 @@ TEST(TraceReader, FastPathAgreesWithGenericParser)
                       withoutOffsets(generic.error.message))
                 << where;
         }
+    }
+}
+
+/** A stream buffer that hands out @p text a few bytes at a time and
+ *  cannot seek, as a pipe does. */
+class PipeBuf : public std::streambuf
+{
+  public:
+    explicit PipeBuf(std::string text) : text_(std::move(text)) {}
+
+  protected:
+    int_type
+    underflow() override
+    {
+        if (at_ == text_.size())
+            return traits_type::eof();
+        const std::size_t n = std::min(sizeof piece_, text_.size() - at_);
+        text_.copy(piece_, n, at_);
+        at_ += n;
+        setg(piece_, piece_, piece_ + n);
+        return traits_type::to_int_type(piece_[0]);
+    }
+
+  private:
+    std::string text_;
+    std::size_t at_ = 0;
+    char piece_[7];
+};
+
+TEST(TraceReader, NonSeekableStreamReadsTheSame)
+{
+    // A pipe cannot tell readTrace how much is left, so its buffer
+    // grows as it reads; the trace, and every error, come out as from
+    // a string, whose length is known up front.
+    std::vector<std::string> torn = validLines();
+    torn.back() = R"({"kind":"inst","tid":0,"pc)";
+    std::vector<std::string> unended = validLines();
+    unended.pop_back();
+    const std::pair<std::string, std::optional<TraceErrorKind>> cases[] = {
+        {recordDemo(demoConfig(2), nullptr, kDataSource), std::nullopt},
+        {joinLines(torn), TraceErrorKind::TornFinalLine},
+        {joinLines(unended), TraceErrorKind::MissingEnd},
+    };
+    for (const auto &[text, error] : cases) {
+        PipeBuf pipe(text);
+        std::istream in(&pipe);
+        ASSERT_EQ(in.rdbuf()->pubseekoff(0, std::ios::cur, std::ios::in),
+                  std::streampos(-1));
+        const TraceReadResult piped = readTrace(in);
+        const TraceReadResult whole = readText(text);
+        ASSERT_EQ(whole.ok, !error) << whole.error.toString();
+        ASSERT_EQ(piped.ok, whole.ok) << piped.error.toString();
+        if (whole.ok) {
+            expectSameTrace(piped.trace, whole.trace, "piped");
+            continue;
+        }
+        EXPECT_EQ(whole.error.kind, *error);
+        EXPECT_EQ(piped.error.kind, whole.error.kind);
+        EXPECT_EQ(piped.error.line, whole.error.line);
+        EXPECT_EQ(piped.error.message, whole.error.message);
     }
 }
 
